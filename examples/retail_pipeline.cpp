@@ -97,7 +97,7 @@ int main() {
   std::printf("   reloaded %zu rows x %zu columns\n", table.num_rows(),
               table.num_columns());
 
-  Engine engine(ExecOptions{.threads = 4, .simd = true});
+  Engine engine(ExecOptions{.threads = 4});
   const double n = static_cast<double>(table.num_rows());
 
   std::printf("\n4. revenue summary for big orders (one scan, four "

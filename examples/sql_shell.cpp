@@ -184,7 +184,6 @@ int main(int argc, char** argv) {
   icp::sched::QueryGovernor governor(scheduler, {});
   ShellState state;
   icp::Engine engine(icp::ExecOptions{.threads = 4,
-                                      .simd = true,
                                       .stats = &state.stats,
                                       .governor = &governor});
   icp::obs::AdminServer admin;

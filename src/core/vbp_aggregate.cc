@@ -137,12 +137,13 @@ std::uint64_t ExtremeOfSlots(const Word* temp, int k, bool is_min) {
 
 namespace {
 
+// `count` is the filter's population count, computed once per aggregate.
 std::optional<std::uint64_t> Extreme(const VbpColumn& column,
                                      const FilterBitVector& filter,
-                                     bool is_min,
+                                     std::uint64_t count, bool is_min,
                                      const CancelContext* cancel,
                                      AggStats* stats) {
-  if (filter.CountOnes() == 0) return std::nullopt;
+  if (count == 0) return std::nullopt;
   const int k = column.bit_width();
   Word temp[kWordBits];
   InitSlotExtreme(k, is_min, temp);
@@ -161,14 +162,16 @@ std::optional<std::uint64_t> Min(const VbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return Extreme(column, filter, /*is_min=*/true, cancel, stats);
+  return Extreme(column, filter, filter.CountOnes(), /*is_min=*/true,
+                 cancel, stats);
 }
 
 std::optional<std::uint64_t> Max(const VbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return Extreme(column, filter, /*is_min=*/false, cancel, stats);
+  return Extreme(column, filter, filter.CountOnes(), /*is_min=*/false,
+                 cancel, stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,12 +200,15 @@ void UpdateCandidates(const VbpColumn& column, Word* v,
   }
 }
 
-std::optional<std::uint64_t> RankSelect(const VbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel) {
+namespace {
+
+// RankSelect given the filter's population count `u`.
+std::optional<std::uint64_t> RankSelectCounted(const VbpColumn& column,
+                                               const FilterBitVector& filter,
+                                               std::uint64_t u,
+                                               std::uint64_t r,
+                                               const CancelContext* cancel) {
   ICP_CHECK_EQ(column.lanes(), 1);
-  std::uint64_t u = filter.CountOnes();
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t num_segments = LiveSegments(filter);
   std::vector<Word> v(filter.words(), filter.words() + num_segments);
@@ -239,12 +245,28 @@ std::optional<std::uint64_t> RankSelect(const VbpColumn& column,
   return result;
 }
 
+std::optional<std::uint64_t> MedianCounted(const VbpColumn& column,
+                                           const FilterBitVector& filter,
+                                           std::uint64_t count,
+                                           const CancelContext* cancel) {
+  if (count == 0) return std::nullopt;
+  return RankSelectCounted(column, filter, count, LowerMedianRank(count),
+                           cancel);
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> RankSelect(const VbpColumn& column,
+                                        const FilterBitVector& filter,
+                                        std::uint64_t r,
+                                        const CancelContext* cancel) {
+  return RankSelectCounted(column, filter, filter.CountOnes(), r, cancel);
+}
+
 std::optional<std::uint64_t> Median(const VbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  const std::uint64_t count = filter.CountOnes();
-  if (count == 0) return std::nullopt;
-  return RankSelect(column, filter, LowerMedianRank(count), cancel);
+  return MedianCounted(column, filter, filter.CountOnes(), cancel);
 }
 
 AggregateResult Aggregate(const VbpColumn& column,
@@ -264,17 +286,17 @@ AggregateResult Aggregate(const VbpColumn& column,
       CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = Min(column, filter, cancel, stats);
-      break;
     case AggKind::kMax:
-      result.value = Max(column, filter, cancel, stats);
+      result.value = Extreme(column, filter, result.count,
+                             /*is_min=*/kind == AggKind::kMin, cancel, stats);
       break;
     case AggKind::kMedian:
-      result.value = Median(column, filter, cancel);
+      result.value = MedianCounted(column, filter, result.count, cancel);
       CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
-      result.value = RankSelect(column, filter, rank, cancel);
+      result.value =
+          RankSelectCounted(column, filter, result.count, rank, cancel);
       CountFilterSegments(filter, stats);
       break;
   }

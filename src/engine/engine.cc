@@ -1102,6 +1102,8 @@ std::string FormatExplainAnalyze(const obs::QueryStats& stats,
           stats.method, stats.agg_path, stats.kernel_tier, stats.threads,
           stats.simd ? "on" : "off");
   out += "stage              cycles   %-of-total\n";
+  AppendStageRow(&out, "admit", stats.admit_queued_cycles,
+                 stats.total_cycles);
   AppendStageRow(&out, "parse", stats.parse_cycles, stats.total_cycles);
   AppendStageRow(&out, "scan", stats.scan_cycles, stats.total_cycles);
   AppendStageRow(&out, "combine", stats.combine_cycles, stats.total_cycles);

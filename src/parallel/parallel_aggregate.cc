@@ -164,13 +164,14 @@ UInt128 Sum(ThreadPool& pool, const HbpColumn& column,
 
 namespace {
 
-std::optional<std::uint64_t> ExtremeVbp(ParallelExecutor& ex,
-                                        const VbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        bool is_min,
-                                        const CancelContext* cancel,
-                                        AggStats* stats) {
-  if (Count(ex, filter) == 0) return std::nullopt;
+// `count` is the filter's population count, computed once per aggregate.
+std::optional<std::uint64_t> Extreme(ParallelExecutor& ex,
+                                     const VbpColumn& column,
+                                     const FilterBitVector& filter,
+                                     std::uint64_t count, bool is_min,
+                                     const CancelContext* cancel,
+                                     AggStats* stats) {
+  if (count == 0) return std::nullopt;
   const int k = column.bit_width();
   const int slots = ex.max_slots();
   const std::size_t scratch =
@@ -199,13 +200,13 @@ std::optional<std::uint64_t> ExtremeVbp(ParallelExecutor& ex,
   return vbp::ExtremeOfSlots(temps.data(), k, is_min);
 }
 
-std::optional<std::uint64_t> ExtremeHbp(ParallelExecutor& ex,
-                                        const HbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        bool is_min,
-                                        const CancelContext* cancel,
-                                        AggStats* stats) {
-  if (Count(ex, filter) == 0) return std::nullopt;
+std::optional<std::uint64_t> Extreme(ParallelExecutor& ex,
+                                     const HbpColumn& column,
+                                     const FilterBitVector& filter,
+                                     std::uint64_t count, bool is_min,
+                                     const CancelContext* cancel,
+                                     AggStats* stats) {
+  if (count == 0) return std::nullopt;
   const int slots = ex.max_slots();
   const std::size_t scratch =
       static_cast<std::size_t>(slots) * kWordBits * sizeof(Word);
@@ -237,25 +238,29 @@ std::optional<std::uint64_t> Min(ParallelExecutor& ex, const VbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return ExtremeVbp(ex, column, filter, /*is_min=*/true, cancel, stats);
+  return Extreme(ex, column, filter, Count(ex, filter), /*is_min=*/true,
+                 cancel, stats);
 }
 std::optional<std::uint64_t> Max(ParallelExecutor& ex, const VbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return ExtremeVbp(ex, column, filter, /*is_min=*/false, cancel, stats);
+  return Extreme(ex, column, filter, Count(ex, filter), /*is_min=*/false,
+                 cancel, stats);
 }
 std::optional<std::uint64_t> Min(ParallelExecutor& ex, const HbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return ExtremeHbp(ex, column, filter, /*is_min=*/true, cancel, stats);
+  return Extreme(ex, column, filter, Count(ex, filter), /*is_min=*/true,
+                 cancel, stats);
 }
 std::optional<std::uint64_t> Max(ParallelExecutor& ex, const HbpColumn& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
-  return ExtremeHbp(ex, column, filter, /*is_min=*/false, cancel, stats);
+  return Extreme(ex, column, filter, Count(ex, filter), /*is_min=*/false,
+                 cancel, stats);
 }
 
 std::optional<std::uint64_t> Min(ThreadPool& pool, const VbpColumn& column,
@@ -287,12 +292,15 @@ std::optional<std::uint64_t> Max(ThreadPool& pool, const HbpColumn& column,
   return Max(ex, column, filter, cancel, stats);
 }
 
-std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
-                                        const VbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel) {
-  std::uint64_t u = Count(ex, filter);
+namespace {
+
+// RankSelect given the filter's population count `u`.
+std::optional<std::uint64_t> RankSelectCounted(ParallelExecutor& ex,
+                                               const VbpColumn& column,
+                                               const FilterBitVector& filter,
+                                               std::uint64_t u,
+                                               std::uint64_t r,
+                                               const CancelContext* cancel) {
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t num_segments = filter.num_segments();
   if (!ex.AccountScratch(num_segments * sizeof(Word))) return std::nullopt;
@@ -336,12 +344,12 @@ std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
   return result;
 }
 
-std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
-                                        const HbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel) {
-  const std::uint64_t u = Count(ex, filter);
+std::optional<std::uint64_t> RankSelectCounted(ParallelExecutor& ex,
+                                               const HbpColumn& column,
+                                               const FilterBitVector& filter,
+                                               std::uint64_t u,
+                                               std::uint64_t r,
+                                               const CancelContext* cancel) {
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t num_segments = filter.num_segments();
   const std::size_t bins = std::size_t{1} << column.tau();
@@ -389,6 +397,35 @@ std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
   return result;
 }
 
+template <typename ColumnT>
+std::optional<std::uint64_t> MedianCounted(ParallelExecutor& ex,
+                                           const ColumnT& column,
+                                           const FilterBitVector& filter,
+                                           std::uint64_t count,
+                                           const CancelContext* cancel) {
+  if (count == 0) return std::nullopt;
+  return RankSelectCounted(ex, column, filter, count, LowerMedianRank(count),
+                           cancel);
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
+                                        const VbpColumn& column,
+                                        const FilterBitVector& filter,
+                                        std::uint64_t r,
+                                        const CancelContext* cancel) {
+  return RankSelectCounted(ex, column, filter, Count(ex, filter), r, cancel);
+}
+
+std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
+                                        const HbpColumn& column,
+                                        const FilterBitVector& filter,
+                                        std::uint64_t r,
+                                        const CancelContext* cancel) {
+  return RankSelectCounted(ex, column, filter, Count(ex, filter), r, cancel);
+}
+
 std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
                                         const VbpColumn& column,
                                         const FilterBitVector& filter,
@@ -411,18 +448,14 @@ std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  const std::uint64_t count = Count(ex, filter);
-  if (count == 0) return std::nullopt;
-  return RankSelect(ex, column, filter, LowerMedianRank(count), cancel);
+  return MedianCounted(ex, column, filter, Count(ex, filter), cancel);
 }
 
 std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  const std::uint64_t count = Count(ex, filter);
-  if (count == 0) return std::nullopt;
-  return RankSelect(ex, column, filter, LowerMedianRank(count), cancel);
+  return MedianCounted(ex, column, filter, Count(ex, filter), cancel);
 }
 
 std::optional<std::uint64_t> Median(ThreadPool& pool, const VbpColumn& column,
@@ -441,6 +474,8 @@ std::optional<std::uint64_t> Median(ThreadPool& pool, const HbpColumn& column,
 
 namespace {
 
+// Counts the filter once and hands the count to every aggregate that
+// needs it, so each kind runs exactly one popcount region.
 template <typename ColumnT>
 AggregateResult AggregateImpl(ParallelExecutor& ex, const ColumnT& column,
                               const FilterBitVector& filter, AggKind kind,
@@ -458,17 +493,18 @@ AggregateResult AggregateImpl(ParallelExecutor& ex, const ColumnT& column,
       CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = Min(ex, column, filter, cancel, stats);
-      break;
     case AggKind::kMax:
-      result.value = Max(ex, column, filter, cancel, stats);
+      result.value =
+          Extreme(ex, column, filter, result.count,
+                  /*is_min=*/kind == AggKind::kMin, cancel, stats);
       break;
     case AggKind::kMedian:
-      result.value = Median(ex, column, filter, cancel);
+      result.value = MedianCounted(ex, column, filter, result.count, cancel);
       CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
-      result.value = RankSelect(ex, column, filter, rank, cancel);
+      result.value =
+          RankSelectCounted(ex, column, filter, result.count, rank, cancel);
       CountFilterSegments(filter, stats);
       break;
   }

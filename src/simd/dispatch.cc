@@ -45,9 +45,10 @@ const KernelOps kSse64Ops = {
 };
 
 #if defined(ICP_POSPOPCNT_HAVE_AVX2)
-// The lanes==1 seg-major layout strides plane words `width` apart, which
-// 256-bit loads cannot exploit; the AVX2 tier keeps the Csa64 kernel for
-// that slot and upgrades the contiguous-layout entry points.
+// vbp_bit_sums (lanes==1 seg-major VBP SUM) keeps the Csa64 kernel on
+// this tier: no vector kernel for that slot exists yet. The other
+// lanes-parameterised slots run vector code on both packings
+// (agg_kernels.h lists which).
 //
 // When the build itself targets AVX-512 VPOPCNTDQ (-march=native on a
 // capable host), the compiler vectorizes the plain loops in
@@ -79,9 +80,8 @@ const KernelOps kAvx2Ops = {
 #endif
 
 #if defined(ICP_POSPOPCNT_HAVE_AVX512)
-// The extreme folds reuse the AVX2 kernels: fold state is one 256-bit
-// register set per quad, and widening to 512 bits would chain two quads
-// whose early stops diverge (agg_kernels.h documents this).
+// The extreme folds are 512 bits wide for lanes==1 only; for lanes==4
+// they run the AVX2 kernels (agg_kernels.h documents why).
 const KernelOps kAvx512Ops = {
     .name = "avx512",
     .vbp_bit_sums = VbpBitSumsCsa64,
@@ -91,8 +91,8 @@ const KernelOps kAvx512Ops = {
     .combine_words = CombineWordsAvx512,
     .masked_popcount = MaskedPopcountAvx512,
     .hbp_sum = HbpSumAvx512,
-    .vbp_extreme_fold = VbpExtremeFoldAvx2,
-    .hbp_extreme_fold = HbpExtremeFoldAvx2,
+    .vbp_extreme_fold = VbpExtremeFoldAvx512,
+    .hbp_extreme_fold = HbpExtremeFoldAvx512,
     .vbp_scan = VbpScanAvx512,
     .hbp_scan = HbpScanAvx512,
 };

@@ -172,10 +172,11 @@ struct KernelOps {
   //   bases[g][(u*s + t)*lanes + l], t in [0,s); running extreme for
   // group g at temp[g*lanes + l] (fields packed in HBP form). Sub-segment
   // t participates only when md = (f << t) & DelimiterMask(s) is nonzero
-  // for some lane; kernels MUST NOT read sub-segment t's data words when
-  // every lane's md is zero (callers rely on this to fold single words
-  // with n == 1). Counter semantics mirror vbp_extreme_fold with
-  // per-(unit) skip counting. `counters` may be null.
+  // for some lane. When n == 1, kernels MUST NOT read sub-segment t's
+  // data words if every lane's md is zero (callers rely on this to fold
+  // single words); for larger n the vector kernels may load every word of
+  // a whole block of units. Counter semantics mirror vbp_extreme_fold
+  // with per-(unit) skip counting. `counters` may be null.
   void (*hbp_extreme_fold)(const Word* const* bases, int num_groups, int s,
                            int tau, int lanes, const Word* filter,
                            std::size_t n, bool is_min, Word* temp,

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -16,6 +19,9 @@
 #include "engine/table.h"
 #include "obs/query_stats.h"
 #include "obs/trace.h"
+#include "sched/admission.h"
+#include "sched/scheduler.h"
+#include "util/cancellation.h"
 #include "util/random.h"
 
 namespace icp {
@@ -146,6 +152,44 @@ TEST(ExplainAnalyzeTest, RendersReportAndFillsSink) {
   EXPECT_EQ(stats.parse_cycles, 1234u);
   EXPECT_GT(stats.words_scanned, 0u);
   EXPECT_GE(stats.total_cycles, stats.StageCyclesSum());
+}
+
+// A governed query that queues at admission spends the wait inside
+// total_cycles; the admit stage must account for it, so the named stages
+// still cover nearly all of the query's cycles.
+TEST(ExplainAnalyzeTest, AdmissionWaitIsANamedStage) {
+  Fixture fx(Layout::kVbp);
+  sched::MorselScheduler scheduler(2);
+  sched::QueryGovernor governor(scheduler,
+                                {.max_concurrent = 1, .max_queued = 1});
+  // Hold the only admission slot so the query has to queue behind it.
+  auto admitted = governor.Admit(CancellationToken(), std::nullopt);
+  ASSERT_TRUE(admitted.ok());
+  std::unique_ptr<sched::QuerySession> held = std::move(admitted).value();
+
+  obs::QueryStats stats;
+  ExecOptions opts;
+  opts.stats = &stats;
+  opts.governor = &governor;
+  Engine engine(opts);
+  StatusOr<QueryResult> result = Status::Internal("query did not run");
+  std::thread query(
+      [&] { result = engine.Execute(fx.table, SumOverFilter()); });
+  while (governor.queued() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  held.reset();  // release the slot: the queued query is granted
+  query.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  ASSERT_GT(stats.admit_queued_cycles, 0u);
+  EXPECT_LE(stats.StageCyclesSum(), stats.total_cycles);
+  EXPECT_GE(static_cast<double>(stats.StageCyclesSum()),
+            0.95 * static_cast<double>(stats.total_cycles))
+      << "admit=" << stats.admit_queued_cycles
+      << " scan=" << stats.scan_cycles << " combine=" << stats.combine_cycles
+      << " agg=" << stats.agg_cycles << " total=" << stats.total_cycles;
+  const std::string report = FormatExplainAnalyze(stats, *result);
+  EXPECT_NE(report.find("  admit "), std::string::npos) << report;
 }
 
 TEST(ExplainAnalyzeTest, PropagatesExecutionErrors) {

@@ -375,6 +375,50 @@ TEST_F(GovernedEngineTest, GovernedExecuteMatchesUngoverned) {
   EXPECT_EQ(qs.sched_morsels_dispatched, qs.sched_morsels_completed);
 }
 
+// Each aggregate counts its filter once. On a table that fits in one
+// morsel every governed region dispatches exactly one morsel, so the
+// dispatched count is the number of parallel regions the query ran.
+TEST(GovernedRegionCountTest, AggregatesCountTheFilterOnce) {
+  Random rng(77);
+  const std::size_t n = 40000;  // 625 VBP segments: one morsel
+  std::vector<std::int64_t> values(n);
+  for (auto& v : values) v = static_cast<std::int64_t>(rng.UniformInt(0, 999));
+  Table table;
+  ASSERT_TRUE(table.AddColumn("v", values, {.layout = Layout::kVbp}).ok());
+  ASSERT_TRUE(table.AddColumn("h", values, {.layout = Layout::kHbp}).ok());
+  const VbpColumn& vcol = (*table.GetColumn("v"))->vbp();
+  const HbpColumn& hcol = (*table.GetColumn("h"))->hbp();
+  ASSERT_LE(vcol.num_segments(), sched::kMorselSegments);
+  ASSERT_LE((n + hcol.values_per_segment() - 1) / hcol.values_per_segment(),
+            sched::kMorselSegments);
+
+  MorselScheduler scheduler(2);
+  QueryGovernor governor(scheduler, {.max_concurrent = 1});
+  obs::QueryStats qs;
+  ExecOptions opts;
+  opts.stats = &qs;
+  opts.governor = &governor;
+  Engine engine(opts);
+  const auto regions = [&](AggKind kind, const char* column) {
+    Query q;
+    q.agg = kind;
+    q.agg_column = column;
+    const auto r = engine.Execute(table, q);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return qs.sched_morsels_dispatched;
+  };
+  // MIN/MAX: the count, then the fold.
+  EXPECT_EQ(regions(AggKind::kMin, "v"), 2u);
+  EXPECT_EQ(regions(AggKind::kMax, "h"), 2u);
+  // VBP MEDIAN: the count, then a count and a narrowing region per bit.
+  EXPECT_EQ(regions(AggKind::kMedian, "v"),
+            1u + 2u * static_cast<std::uint64_t>(vcol.bit_width()));
+  // HBP MEDIAN: the count, then a histogram region per group and a
+  // narrowing region per group but the last.
+  EXPECT_EQ(regions(AggKind::kMedian, "h"),
+            2u * static_cast<std::uint64_t>(hcol.num_groups()));
+}
+
 TEST_F(GovernedEngineTest, OverloadedGovernorShedsExecute) {
   MorselScheduler scheduler(0);
   QueryGovernor governor(scheduler,

@@ -44,6 +44,12 @@ from typing import Any
 
 TIER_NAMES = {0: "scalar", 1: "sse", 2: "avx2", 3: "avx512"}
 
+# Nanoseconds per google-benchmark time_unit. A benchmark reports
+# cpu_time in its own unit (->Unit(benchmark::kMillisecond) and so on);
+# every row is converted to ns, and an unknown unit is an error rather
+# than a silently mislabelled number.
+NS_PER_TIME_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def parse_kernel_bench_name(
     name: str,
@@ -93,8 +99,18 @@ def kernel_json_main(source: str, out_path: str) -> int:
         if "error_occurred" in bench:
             row["skipped"] = bench.get("error_message", "skipped")
         else:
+            unit = bench.get("time_unit", "ns")
+            if unit not in NS_PER_TIME_UNIT:
+                print(f"parse_bench: {source}: benchmark "
+                      f"{bench.get('name')!r} has unknown time_unit "
+                      f"{unit!r} (want one of "
+                      f"{', '.join(NS_PER_TIME_UNIT)})", file=sys.stderr)
+                return 1
             row["items_per_second"] = bench.get("items_per_second")
-            row["cpu_time_ns"] = bench.get("cpu_time")
+            cpu_time = bench.get("cpu_time")
+            row["cpu_time_ns"] = (
+                cpu_time * NS_PER_TIME_UNIT[unit]
+                if isinstance(cpu_time, (int, float)) else None)
         rows.append(row)
 
     # Speedup of each tier over scalar, per (benchmark, non-tier args).
@@ -117,11 +133,11 @@ def kernel_json_main(source: str, out_path: str) -> int:
 
     out = {
         "source": os.path.basename(source),
-        # Which clock produced the numbers. google-benchmark reports
-        # cpu_time in ns; the harness-text tables instead carry
-        # cycles/tuple from obs::StageTimer (rdtsc) — see
-        # docs/observability.md.
-        "clock": "google-benchmark cpu_time (ns)",
+        # Which clock produced the numbers: google-benchmark cpu_time,
+        # converted from each row's time_unit to ns. The harness-text
+        # tables instead carry cycles/tuple from obs::StageTimer (rdtsc)
+        # — see docs/observability.md.
+        "clock": "google-benchmark cpu_time (converted to ns)",
         "context": {
             k: data.get("context", {}).get(k)
             for k in ("host_name", "num_cpus", "mhz_per_cpu", "date")
