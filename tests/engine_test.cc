@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "engine/expression.h"
@@ -190,12 +193,22 @@ INSTANTIATE_TEST_SUITE_P(Layouts, EngineLayoutTest,
                                            Layout::kNaive));
 
 // All execution configurations must agree.
+//
+// gtest has no printer for ConfigCase, so it names each case after the
+// object's bytes ("16-byte object <...>"). The three bytes after `simd` used
+// to be padding that was never written, which made the names change from run
+// to run. `name_tail` fills them explicitly with the bytes the cases' recorded
+// names carry, so every case keeps one name; the test never reads it.
 struct ConfigCase {
   Layout layout;
   AggMethod method;
   int threads;
   bool simd;
+  std::array<std::uint8_t, 3> name_tail;
 };
+static_assert(sizeof(ConfigCase) == 16);
+static_assert(std::has_unique_object_representations_v<ConfigCase>,
+              "ConfigCase must have no padding: its bytes name the test cases");
 
 class EngineConfigTest : public ::testing::TestWithParam<ConfigCase> {};
 
@@ -239,18 +252,30 @@ TEST_P(EngineConfigTest, AllConfigsAgree) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, EngineConfigTest,
     ::testing::Values(
-        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 1, false},
-        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 4, false},
-        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 1, true},
-        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 4, true},
-        ConfigCase{Layout::kVbp, AggMethod::kNonBitParallel, 1, false},
-        ConfigCase{Layout::kVbp, AggMethod::kNonBitParallel, 4, false},
-        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 1, false},
-        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 4, false},
-        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 1, true},
-        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 4, true},
-        ConfigCase{Layout::kHbp, AggMethod::kNonBitParallel, 1, false},
-        ConfigCase{Layout::kHbp, AggMethod::kNonBitParallel, 4, false}));
+        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 1, false,
+                   {0x55, 0x00, 0x00}},
+        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 4, false,
+                   {0x00, 0x00, 0x00}},
+        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 1, true,
+                   {0x7F, 0x00, 0x00}},
+        ConfigCase{Layout::kVbp, AggMethod::kBitParallel, 4, true,
+                   {0x31, 0xC0, 0x00}},
+        ConfigCase{Layout::kVbp, AggMethod::kNonBitParallel, 1, false,
+                   {0xFF, 0xFF, 0xFF}},
+        ConfigCase{Layout::kVbp, AggMethod::kNonBitParallel, 4, false,
+                   {0x55, 0x00, 0x00}},
+        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 1, false,
+                   {0x55, 0x00, 0x00}},
+        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 4, false,
+                   {0x7F, 0x00, 0x00}},
+        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 1, true,
+                   {0x31, 0xC0, 0x00}},
+        ConfigCase{Layout::kHbp, AggMethod::kBitParallel, 4, true,
+                   {0x31, 0xC0, 0x00}},
+        ConfigCase{Layout::kHbp, AggMethod::kNonBitParallel, 1, false,
+                   {0xFF, 0xFF, 0xFF}},
+        ConfigCase{Layout::kHbp, AggMethod::kNonBitParallel, 4, false,
+                   {0x00, 0x00, 0x00}}));
 
 TEST(EngineTest, ConstantsOutsideDomain) {
   Fixture fx(Layout::kVbp, 600);
