@@ -462,6 +462,99 @@ BENCHMARK(BM_MaskedPopcountTier)
     ->ArgNames({"tier", "lanes"})
     ->ArgsProduct({{0, 1, 2, 3}, {1, 4}});
 
+// The per-bit VBP packer the segment transpose replaced (one bit per value
+// per plane), and its inverse: the baseline rows (tier -1, "reference") of
+// the pack/unpack benchmarks.
+void ReferencePackSegment(const std::uint64_t* codes, std::size_t n, int k,
+                          Word* planes) {
+  for (int j = 0; j < k; ++j) planes[j] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int j = 0; j < k; ++j) {
+      if ((codes[i] >> (k - 1 - j)) & 1) {
+        planes[j] |= Word{1} << (kWordBits - 1 - static_cast<int>(i));
+      }
+    }
+  }
+}
+
+void ReferenceUnpackSegment(const Word* planes, int k,
+                            std::uint64_t* codes) {
+  for (int i = 0; i < kWordBits; ++i) {
+    std::uint64_t v = 0;
+    for (int j = 0; j < k; ++j) {
+      v = (v << 1) | ((planes[j] >> (kWordBits - 1 - i)) & 1);
+    }
+    codes[i] = v;
+  }
+}
+
+void PackArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"tier", "k"});
+  for (int k : {12, 25}) {
+    for (int tier = -1; tier < 4; ++tier) b->Args({tier, k});
+  }
+}
+
+// VBP packing: one 64 x k transpose per segment over kKernelTuples codes,
+// per tier (tier -1: the per-bit reference packer).
+// exercises: vbp_pack
+void BM_VbpPackTier(benchmark::State& state) {
+  const int tier_arg = static_cast<int>(state.range(0));
+  const auto tier = static_cast<kern::Tier>(tier_arg);
+  if (tier_arg >= 0 && !RequireTier(state, tier)) return;
+  const int k = static_cast<int>(state.range(1));
+  const auto codes = UniformCodes(kKernelTuples, k, 7);
+  const std::size_t segments = kKernelTuples / kWordBits;
+  std::vector<Word> planes(segments * k);
+  const auto pack = tier_arg < 0 ? ReferencePackSegment
+                                 : kern::OpsFor(tier).vbp_pack;
+  for (auto _ : state) {
+    for (std::size_t seg = 0; seg < segments; ++seg) {
+      pack(codes.data() + seg * kWordBits, kWordBits, k,
+           planes.data() + seg * k);
+    }
+    benchmark::DoNotOptimize(planes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kKernelTuples));
+  state.SetLabel(std::string("tier=") +
+                 (tier_arg < 0 ? "reference" : kern::OpsFor(tier).name));
+}
+BENCHMARK(BM_VbpPackTier)->Apply(PackArgs);
+
+// VBP unpacking (group-by's and serialization's decode): one inverse
+// transpose per segment, per tier (tier -1: the per-bit reference).
+// exercises: vbp_unpack
+void BM_VbpUnpackTier(benchmark::State& state) {
+  const int tier_arg = static_cast<int>(state.range(0));
+  const auto tier = static_cast<kern::Tier>(tier_arg);
+  if (tier_arg >= 0 && !RequireTier(state, tier)) return;
+  const int k = static_cast<int>(state.range(1));
+  const auto codes = UniformCodes(kKernelTuples, k, 7);
+  const std::size_t segments = kKernelTuples / kWordBits;
+  std::vector<Word> planes(segments * k);
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    ReferencePackSegment(codes.data() + seg * kWordBits, kWordBits, k,
+                         planes.data() + seg * k);
+  }
+  std::vector<std::uint64_t> out(kKernelTuples);
+  const auto unpack = tier_arg < 0 ? ReferenceUnpackSegment
+                                   : kern::OpsFor(tier).vbp_unpack;
+  for (auto _ : state) {
+    for (std::size_t seg = 0; seg < segments; ++seg) {
+      unpack(planes.data() + seg * k, k, out.data() + seg * kWordBits);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kKernelTuples));
+  state.SetLabel(std::string("tier=") +
+                 (tier_arg < 0 ? "reference" : kern::OpsFor(tier).name));
+}
+BENCHMARK(BM_VbpUnpackTier)->Apply(PackArgs);
+
 // Filter combine (AND) over the full filter, per tier.
 // exercises: combine_words
 void BM_CombineTier(benchmark::State& state) {

@@ -70,15 +70,6 @@ std::int64_t ColumnEncoder::Decode(std::uint64_t code) const {
                                    code);
 }
 
-std::vector<std::uint64_t> ColumnEncoder::EncodeAll(
-    const std::vector<std::int64_t>& values) const {
-  std::vector<std::uint64_t> codes(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    codes[i] = Encode(values[i]);
-  }
-  return codes;
-}
-
 ConstantBound ColumnEncoder::EncodeLowerBound(std::int64_t constant,
                                               std::uint64_t* code) const {
   if (is_dictionary()) {

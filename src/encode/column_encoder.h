@@ -74,10 +74,6 @@ class ColumnEncoder {
   /// Decodes a code back to the original value domain.
   std::int64_t Decode(std::uint64_t code) const;
 
-  /// Encodes every value of a column.
-  std::vector<std::uint64_t> EncodeAll(
-      const std::vector<std::int64_t>& values) const;
-
   /// Maps `constant` to the smallest code whose decoded value is >= constant
   /// (for predicates of the form v >= constant). Returns kAboveDomain if no
   /// such code exists.

@@ -229,15 +229,15 @@ StatusOr<Engine::TriState> Engine::ScanLeaf(const Table& table,
     const bool mt = options_.threads > 1;
     switch (column.spec().layout) {
       case Layout::kVbp:
-        if (options_.simd) {
+        if (session_ != nullptr) {
+          out.pass = par::Scan(*session_, column.vbp(), pred.op, pred.c1,
+                               pred.c2, cancel, sp);
+        } else if (options_.simd) {
           out.pass = mt ? simd::ScanVbp(*pool_, column.vbp_simd(), pred.op,
                                         pred.c1, pred.c2, sp)
                         : simd::ScanVbp(column.vbp_simd(), pred.op, pred.c1,
                                         pred.c2, sp);
           modeled = true;
-        } else if (session_ != nullptr) {
-          out.pass = par::Scan(*session_, column.vbp(), pred.op, pred.c1,
-                               pred.c2, cancel, sp);
         } else {
           out.pass = mt ? par::Scan(*pool_, column.vbp(), pred.op, pred.c1,
                                     pred.c2, cancel, sp)
@@ -246,15 +246,15 @@ StatusOr<Engine::TriState> Engine::ScanLeaf(const Table& table,
         }
         break;
       case Layout::kHbp:
-        if (options_.simd) {
+        if (session_ != nullptr) {
+          out.pass = par::Scan(*session_, column.hbp(), pred.op, pred.c1,
+                               pred.c2, cancel, sp);
+        } else if (options_.simd) {
           out.pass = mt ? simd::ScanHbp(*pool_, column.hbp_simd(), pred.op,
                                         pred.c1, pred.c2, sp)
                         : simd::ScanHbp(column.hbp_simd(), pred.op, pred.c1,
                                         pred.c2, sp);
           modeled = true;
-        } else if (session_ != nullptr) {
-          out.pass = par::Scan(*session_, column.hbp(), pred.op, pred.c1,
-                               pred.c2, cancel, sp);
         } else {
           out.pass = mt ? par::Scan(*pool_, column.hbp(), pred.op, pred.c1,
                                     pred.c2, cancel, sp)
@@ -479,14 +479,14 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
   ICP_OBS_TRACE_SPAN("execute.aggregate", 0);
   switch (column.spec().layout) {
     case Layout::kVbp:
-      if (bp && options_.simd) {
+      if (bp && session_ != nullptr) {
+        agg = par::Aggregate(*session_, column.vbp(), *effective, kind, rank,
+                             cancel, ap);
+      } else if (bp && options_.simd) {
         agg = mt ? simd::AggregateVbp(*pool_, column.vbp_simd(), *effective,
                                       kind, rank, cancel, ap)
                  : simd::AggregateVbp(column.vbp_simd(), *effective, kind,
                                       rank, cancel, ap);
-      } else if (bp && session_ != nullptr) {
-        agg = par::Aggregate(*session_, column.vbp(), *effective, kind, rank,
-                             cancel, ap);
       } else if (bp) {
         agg = mt ? par::Aggregate(*pool_, column.vbp(), *effective, kind,
                                   rank, cancel, ap)
@@ -500,14 +500,14 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
       }
       break;
     case Layout::kHbp:
-      if (bp && options_.simd) {
+      if (bp && session_ != nullptr) {
+        agg = par::Aggregate(*session_, column.hbp(), *effective, kind, rank,
+                             cancel, ap);
+      } else if (bp && options_.simd) {
         agg = mt ? simd::AggregateHbp(*pool_, column.hbp_simd(), *effective,
                                       kind, rank, cancel, ap)
                  : simd::AggregateHbp(column.hbp_simd(), *effective, kind,
                                       rank, cancel, ap);
-      } else if (bp && session_ != nullptr) {
-        agg = par::Aggregate(*session_, column.hbp(), *effective, kind, rank,
-                             cancel, ap);
       } else if (bp) {
         agg = mt ? par::Aggregate(*pool_, column.hbp(), *effective, kind,
                                   rank, cancel, ap)
@@ -738,16 +738,16 @@ Engine::NaiveGroupBy(const Table& table, const Query& query,
                      const FilterBitVector& base, std::uint64_t scan_cycles,
                      const CancelContext& cancel) {
   obs::QueryStats* qs = options_.stats;
-  const std::vector<std::uint64_t>& codes = group.codes();
   const std::uint64_t num_groups = group.encoder().num_codes();
   const int group_vps = group.values_per_segment();
   const int agg_vps = agg.values_per_segment();
   std::vector<std::pair<std::int64_t, QueryResult>> results;
   // Per-code bit vectors come from one chunked scatter pass over the
-  // codes array instead of one bit-parallel scan per group: total filter
-  // construction work is O(table x ceil(groups/64) + groups) rather than
-  // the old O(table x groups), and the scan-work counters only reflect
-  // the base filter's scans.
+  // group codes (decoded from the packing a segment at a time) instead of
+  // one bit-parallel scan per group: total filter construction work is
+  // O(table x ceil(groups/64) + groups) rather than the old
+  // O(table x groups), and the scan-work counters only reflect the base
+  // filter's scans.
   constexpr std::uint64_t kChunk = 64;
   for (std::uint64_t chunk_begin = 0; chunk_begin < num_groups;
        chunk_begin += kChunk) {
@@ -760,12 +760,19 @@ Engine::NaiveGroupBy(const Table& table, const Query& query,
     for (std::uint64_t c = chunk_begin; c < chunk_end; ++c) {
       fs.emplace_back(table.num_rows(), group_vps);
     }
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      const std::uint64_t c = codes[i];
-      if (c < chunk_begin || c >= chunk_end) continue;
-      // NULL group rows carry code 0 but belong to no group.
-      if (group.nullable() && !group.validity().GetBit(i)) continue;
-      fs[c - chunk_begin].SetBit(i, true);
+    std::uint64_t codes[kWordBits];
+    for (std::size_t row0 = 0; row0 < table.num_rows(); row0 += kWordBits) {
+      const std::size_t rows =
+          std::min<std::size_t>(kWordBits, table.num_rows() - row0);
+      group.DecodeCodes(row0, rows, codes);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint64_t c = codes[r];
+        if (c < chunk_begin || c >= chunk_end) continue;
+        const std::size_t i = row0 + r;
+        // NULL group rows carry code 0 but belong to no group.
+        if (group.nullable() && !group.validity().GetBit(i)) continue;
+        fs[c - chunk_begin].SetBit(i, true);
+      }
     }
     for (FilterBitVector& f : fs) f.And(base);
     if (qs != nullptr) {
@@ -805,10 +812,10 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
   if (group.nullable()) eff.And(group.validity());
 
   groupby::Input in;
-  in.group_codes = group.codes().data();
+  in.group_codes = groupby::CodeReader::Of(group);
   in.num_codes = group.encoder().num_codes();
   if (query.agg != AggKind::kCount) {
-    in.agg_codes = agg.codes().data();
+    in.agg_codes = groupby::CodeReader::Of(agg);
     in.agg_bits = agg.bit_width();
   }
   in.filter = &eff;

@@ -42,7 +42,8 @@ struct ExecOptions {
   /// Worker threads (1 = single-threaded).
   int threads = 1;
   /// Use the 256-bit SIMD kernels (bit-parallel method only; the column's
-  /// lanes == 4 packing is built lazily).
+  /// lanes == 4 packing is built lazily). A governed engine ignores it:
+  /// its scans and aggregates always run on the governor's scheduler.
   bool simd = false;
   /// Cooperative cancellation: every aggregation kernel (scalar, SIMD,
   /// naive/padded, multi-threaded) polls this token every
@@ -66,12 +67,12 @@ struct ExecOptions {
   /// Overload-safe concurrent execution: when non-null, every Execute /
   /// ExecuteMulti / ExecuteGroupBy call first admits itself against the
   /// governor (bounded queue, load shedding with kResourceExhausted,
-  /// degraded parallelism under load) and runs its bit-parallel
-  /// non-SIMD scan + aggregate phases on the governor's shared morsel
-  /// scheduler instead of this engine's private pool. SIMD and NBP
-  /// phases and the standalone EvaluateFilter / Aggregate entry points
-  /// keep the private pool (see docs/scheduler.md). Not owned; must
-  /// outlive the engine.
+  /// degraded parallelism under load) and runs its bit-parallel scan +
+  /// aggregate phases on the governor's shared morsel scheduler instead
+  /// of this engine's private pool (`simd` is ignored there). NBP phases
+  /// and the standalone EvaluateFilter / Aggregate entry points keep the
+  /// private pool (see docs/scheduler.md). Not owned; must outlive the
+  /// engine.
   sched::QueryGovernor* governor = nullptr;
   /// Grouped-aggregation strategy: ExecuteGroupBy switches from the naive
   /// per-code scan loop to the single-pass operator (src/groupby/) when

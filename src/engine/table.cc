@@ -20,25 +20,39 @@ int Table::Column::values_per_segment() const {
 }
 
 const VbpColumn& Table::Column::vbp_simd() const {
+  ICP_CHECK(spec_.layout == Layout::kVbp);
   if (!has_vbp_simd_) {
-    VbpColumn::Options options;
-    options.tau = vbp_.tau();
-    options.lanes = 4;
-    vbp_simd_ = VbpColumn::Pack(codes_, encoder_.bit_width(), options);
+    vbp_simd_ = vbp_.Interleave(4);
     has_vbp_simd_ = true;
   }
   return vbp_simd_;
 }
 
 const HbpColumn& Table::Column::hbp_simd() const {
+  ICP_CHECK(spec_.layout == Layout::kHbp);
   if (!has_hbp_simd_) {
-    HbpColumn::Options options;
-    options.tau = hbp_.tau();
-    options.lanes = 4;
-    hbp_simd_ = HbpColumn::Pack(codes_, encoder_.bit_width(), options);
+    hbp_simd_ = hbp_.Interleave(4);
     has_hbp_simd_ = true;
   }
   return hbp_simd_;
+}
+
+void Table::Column::DecodeCodes(std::size_t begin, std::size_t n,
+                                std::uint64_t* out) const {
+  switch (spec_.layout) {
+    case Layout::kVbp:
+      vbp_.Decode(begin, n, out);
+      return;
+    case Layout::kHbp:
+      hbp_.Decode(begin, n, out);
+      return;
+    case Layout::kNaive:
+      std::copy_n(naive_.data() + begin, n, out);
+      return;
+    case Layout::kPadded:
+      for (std::size_t i = 0; i < n; ++i) out[i] = padded_.GetValue(begin + i);
+      return;
+  }
 }
 
 std::size_t Table::Column::MemoryBytes() const {
@@ -112,8 +126,14 @@ Status Table::AddColumn(const std::string& name,
   }
   auto encoder_or = MakeEncoder(name, values, nullptr, spec);
   ICP_RETURN_IF_ERROR(encoder_or.status());
-  return AddColumnImpl(name, spec, *encoder_or,
-                       encoder_or->EncodeAll(values));
+  const ColumnEncoder& encoder = *encoder_or;
+  return AddCodedColumn(
+      name, values.size(), spec, encoder,
+      [&](std::size_t begin, std::size_t n, std::uint64_t* out) {
+        for (std::size_t i = 0; i < n; ++i) {
+          out[i] = encoder.Encode(values[begin + i]);
+        }
+      });
 }
 
 Status Table::AddNullableColumn(const std::string& name,
@@ -130,11 +150,15 @@ Status Table::AddNullableColumn(const std::string& name,
   auto encoder_or = MakeEncoder(name, values, &valid, spec);
   ICP_RETURN_IF_ERROR(encoder_or.status());
   const ColumnEncoder& encoder = *encoder_or;
-  std::vector<std::uint64_t> codes(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    codes[i] = valid[i] ? encoder.Encode(values[i]) : 0;  // NULL -> code 0
-  }
-  return AddColumnImpl(name, spec, encoder, std::move(codes), &valid);
+  return AddCodedColumn(
+      name, values.size(), spec, encoder,
+      [&](std::size_t begin, std::size_t n, std::uint64_t* out) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t row = begin + i;
+          out[i] = valid[row] ? encoder.Encode(values[row]) : 0;  // NULL -> 0
+        }
+      },
+      &valid);
 }
 
 Status Table::AddEncodedColumn(const std::string& name,
@@ -156,16 +180,23 @@ Status Table::AddEncodedColumn(const std::string& name,
   spec.bit_width = bit_width;
   ColumnEncoder encoder = ColumnEncoder::ForRangeWithWidth(
       0, static_cast<std::int64_t>(max_code), bit_width);
-  return AddColumnImpl(name, spec, encoder, codes);
+  return AddCodedColumn(
+      name, codes.size(), spec, std::move(encoder),
+      [&](std::size_t begin, std::size_t n, std::uint64_t* out) {
+        std::copy_n(codes.data() + begin, n, out);
+      });
 }
 
-Status Table::AddColumnImpl(const std::string& name, ColumnSpec spec,
-                            ColumnEncoder encoder,
-                            std::vector<std::uint64_t> codes,
-                            const std::vector<bool>* valid) {
-  if (num_rows_ != 0 && codes.size() != num_rows_) {
+Status Table::AddCodedColumn(const std::string& name, std::size_t num_rows,
+                             ColumnSpec spec, ColumnEncoder encoder,
+                             const CodeFill& fill,
+                             const std::vector<bool>* valid) {
+  if (num_rows == 0) {
+    return Status::InvalidArgument("column '" + name + "' has no values");
+  }
+  if (num_rows_ != 0 && num_rows != num_rows_) {
     return Status::InvalidArgument("column '" + name + "' has " +
-                                   std::to_string(codes.size()) +
+                                   std::to_string(num_rows) +
                                    " rows, table has " +
                                    std::to_string(num_rows_));
   }
@@ -184,20 +215,20 @@ Status Table::AddColumnImpl(const std::string& name, ColumnSpec spec,
     case Layout::kVbp: {
       VbpColumn::Options options;
       options.tau = spec.tau;
-      column->vbp_ = VbpColumn::Pack(codes, k, options);
+      column->vbp_ = VbpColumn::PackFrom(num_rows, k, options, fill);
       break;
     }
     case Layout::kHbp: {
       HbpColumn::Options options;
       options.tau = spec.tau;
-      column->hbp_ = HbpColumn::Pack(codes, k, options);
+      column->hbp_ = HbpColumn::PackFrom(num_rows, k, options, fill);
       break;
     }
     case Layout::kNaive:
-      column->naive_ = NaiveColumn::Pack(codes, k);
+      column->naive_ = NaiveColumn::PackFrom(num_rows, k, fill);
       break;
     case Layout::kPadded:
-      column->padded_ = PaddedColumn::Pack(codes, k);
+      column->padded_ = PaddedColumn::PackFrom(num_rows, k, fill);
       break;
   }
   // Allocation failure (real exhaustion or the "aligned_buffer/alloc"
@@ -220,13 +251,12 @@ Status Table::AddColumnImpl(const std::string& name, ColumnSpec spec,
     return Status::Internal("allocation failed packing column '" + name +
                             "'");
   }
-  column->codes_ = std::move(codes);
   if (valid != nullptr) {
     column->nullable_ = true;
     column->validity_ =
         FilterBitVector::FromBools(*valid, column->values_per_segment());
   }
-  num_rows_ = column->codes_.size();
+  num_rows_ = num_rows;
   columns_.push_back(std::move(column));
   return Status::Ok();
 }

@@ -4,9 +4,17 @@
 // and group-bys are assumed to have been denormalized/materialized away, so
 // every query is a filter scan over some columns plus an aggregate over one
 // column. Each column chooses its layout (VBP/HBP/padded/naive), bit-group
-// size and
-// bit width at load time; the lanes == 4 SIMD packing of a column is built
-// lazily the first time a SIMD execution needs it.
+// size and bit width at load time.
+//
+// The packing is the only copy of a column. Loading encodes and packs one
+// segment at a time (AddColumn encodes values as the packer asks for them;
+// io::ReadTable hands AddCodedColumn the codes it unpacks from the file's
+// k-bit stream), so no full-column array of plain codes is ever built.
+// Readers that need plain codes back — group-by and serialization — call
+// Column::DecodeCodes, which reconstructs them a segment at a time from the
+// packing. The lanes == 4 SIMD packing of a column is built lazily, by
+// interleaving the words of the lanes == 1 packing, the first time a SIMD
+// execution needs it.
 
 #ifndef ICP_ENGINE_TABLE_H_
 #define ICP_ENGINE_TABLE_H_
@@ -62,6 +70,15 @@ class Table {
                           const std::vector<std::uint64_t>& codes,
                           int bit_width, ColumnSpec spec);
 
+  /// Adds a column of `num_rows` codes already encoded with `encoder`:
+  /// `fill` (see CodeFill) produces them, each < 2^encoder.bit_width(),
+  /// one segment at a time as they are packed. `valid`, when non-null,
+  /// marks the non-NULL rows (NULL rows must carry code 0).
+  Status AddCodedColumn(const std::string& name, std::size_t num_rows,
+                        ColumnSpec spec, ColumnEncoder encoder,
+                        const CodeFill& fill,
+                        const std::vector<bool>* valid = nullptr);
+
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_columns() const { return columns_.size(); }
   std::vector<std::string> column_names() const;
@@ -92,8 +109,10 @@ class Table {
     /// segments. Only meaningful when nullable().
     const FilterBitVector& validity() const { return validity_; }
 
-    /// The column's encoded codes (one per row); used by serialization.
-    const std::vector<std::uint64_t>& codes() const { return codes_; }
+    /// Writes the codes of rows [begin, begin + n) to out[0, n), decoded
+    /// from the packing (NULL rows read as code 0).
+    void DecodeCodes(std::size_t begin, std::size_t n,
+                     std::uint64_t* out) const;
 
     /// Packed size of the primary (scalar) packing, in bytes.
     std::size_t MemoryBytes() const;
@@ -104,7 +123,6 @@ class Table {
     std::string name_;
     ColumnSpec spec_;
     ColumnEncoder encoder_;
-    std::vector<std::uint64_t> codes_;  // kept for lazy SIMD packing
     VbpColumn vbp_;
     HbpColumn hbp_;
     NaiveColumn naive_;
@@ -121,11 +139,6 @@ class Table {
   StatusOr<const Column*> GetColumn(const std::string& name) const;
 
  private:
-  Status AddColumnImpl(const std::string& name, ColumnSpec spec,
-                       ColumnEncoder encoder,
-                       std::vector<std::uint64_t> codes,
-                       const std::vector<bool>* valid = nullptr);
-
   std::size_t num_rows_ = 0;
   // unique_ptr keeps Column* handles stable across AddColumn calls.
   std::vector<std::unique_ptr<Column>> columns_;

@@ -90,7 +90,7 @@ struct Partial {
 StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
     const Input& in, const Options& options, ParallelExecutor& ex,
     const CancelContext* cancel, Stats* stats) {
-  ICP_CHECK(in.group_codes != nullptr);
+  ICP_CHECK(in.group_codes.present());
   ICP_CHECK(in.filter != nullptr);
   ICP_CHECK_GE(options.radix_bits, 0);
   std::vector<std::pair<std::uint64_t, Accumulator>> results;
@@ -134,7 +134,8 @@ StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
   const int shift = std::max(0, group_bits - options.radix_bits);
   const std::size_t num_partitions =
       static_cast<std::size_t>((in.num_codes - 1) >> shift) + 1;
-  const int agg_bits = in.agg_codes != nullptr ? in.agg_bits : 0;
+  const bool has_agg = in.agg_codes.present();
+  const int agg_bits = has_agg ? in.agg_bits : 0;
   const bool one_word_spill = group_bits + agg_bits + 1 <= kWordBits;
 
   // Local-table mode from the per-slot budget: direct-indexed when the
@@ -182,8 +183,6 @@ StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
   }
 
   std::atomic<int> injected{kNone};
-  const std::uint64_t* group_codes = in.group_codes;
-  const std::uint64_t* agg_codes = in.agg_codes;
 
   {
     ICP_OBS_TRACE_SPAN("groupby.pass", 0);
@@ -194,6 +193,8 @@ StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
           // order: relaxed — first-injection latch; the region barrier
           // orders it before the post-phase read.
           if (injected.load(std::memory_order_relaxed) != kNone) return;
+          std::uint64_t group_buf[kWordBits];
+          std::uint64_t agg_buf[kWordBits] = {};
           // cancellation: exempt — the executor polls the context
           // between subranges (per morsel / per cancel batch); one
           // subrange is the cancellation granularity of this pass.
@@ -202,15 +203,17 @@ StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
             if (w == 0) continue;  // dead 64-row segment: no per-row work
             const Word vw = vwords != nullptr ? vwords[seg] : ~Word{0};
             const std::size_t row0 = seg * kWordBits;
+            const std::size_t rows =
+                std::min<std::size_t>(kWordBits, in.num_rows - row0);
+            in.group_codes.Read(row0, rows, group_buf);
+            if (has_agg) in.agg_codes.Read(row0, rows, agg_buf);
             while (w != 0) {
               const int bit = std::countl_zero(w);
               w &= ~(Word{1} << (kWordBits - 1 - bit));
-              const std::size_t row = row0 + static_cast<std::size_t>(bit);
-              const std::uint64_t g = group_codes[row];
+              const std::uint64_t g = group_buf[bit];
               const bool valid =
                   ((vw >> (kWordBits - 1 - bit)) & Word{1}) != 0;
-              const std::uint64_t a =
-                  agg_codes != nullptr ? agg_codes[row] : 0;
+              const std::uint64_t a = agg_buf[bit];
               if (Accumulator* acc = TableSlot(st, g); acc != nullptr) {
                 Fold(*acc, a, valid);
                 ++st.local_hits;

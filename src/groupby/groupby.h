@@ -78,16 +78,41 @@ struct Accumulator {
   std::uint64_t max = 0;
 };
 
-/// Inputs in the code domain. Pointers are borrowed; they must stay valid
-/// for the duration of Execute.
+/// Reads the codes of rows [begin, begin + n) of one column into out[0, n).
+/// The pass reads one 64-row segment at a time into a 64-entry buffer, so
+/// a column packed bit-parallel is decoded a segment at a time (the
+/// paper's Section III reconstruction) and never held as plain codes.
+struct CodeReader {
+  const void* column = nullptr;
+  void (*read)(const void* column, std::size_t begin, std::size_t n,
+               std::uint64_t* out) = nullptr;
+
+  /// A reader over any column type with a
+  /// DecodeCodes(begin, n, out) const member (Table::Column).
+  template <typename Column>
+  static CodeReader Of(const Column& column) {
+    return {&column, [](const void* c, std::size_t begin, std::size_t n,
+                        std::uint64_t* out) {
+              static_cast<const Column*>(c)->DecodeCodes(begin, n, out);
+            }};
+  }
+
+  bool present() const { return read != nullptr; }
+  void Read(std::size_t begin, std::size_t n, std::uint64_t* out) const {
+    read(column, begin, n, out);
+  }
+};
+
+/// Inputs in the code domain. The columns and bit vectors are borrowed;
+/// they must stay valid for the duration of Execute.
 struct Input {
-  /// One group code per row (the Table::Column::codes() array).
-  const std::uint64_t* group_codes = nullptr;
+  /// The group column's codes.
+  CodeReader group_codes;
   /// Dictionary size; every group code is < num_codes.
   std::uint64_t num_codes = 0;
-  /// One agg code per row; may be null for COUNT (codes unused).
-  const std::uint64_t* agg_codes = nullptr;
-  /// Bit width of the agg codes (0 when agg_codes is null); decides
+  /// The agg column's codes; unset for COUNT (codes unused).
+  CodeReader agg_codes;
+  /// Bit width of the agg codes (0 when agg_codes is unset); decides
   /// whether a spilled row packs into one 64-bit word or two.
   int agg_bits = 0;
   /// Filter pass set ANDed with the group column's validity (NULL group

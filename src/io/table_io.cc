@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -206,44 +207,46 @@ class Reader {
   bool failed_ = false;
 };
 
-// Packs `codes` at `k` bits per code into an MSB-first word stream.
-std::vector<Word> PackCodes(const std::vector<std::uint64_t>& codes, int k) {
+// Packs the column's codes at k = bit_width() bits per code into an
+// MSB-first word stream, decoding them from the packing a segment at a time.
+std::vector<Word> PackCodes(const Table::Column& column,
+                            std::size_t num_rows) {
+  const int k = column.bit_width();
   std::vector<Word> words;
-  words.reserve(CeilDiv(codes.size() * static_cast<std::size_t>(k), 64));
+  words.reserve(CeilDiv(num_rows * static_cast<std::size_t>(k), 64));
   UInt128 window = 0;
   int pending = 0;
-  for (std::uint64_t code : codes) {
-    window |= static_cast<UInt128>(code) << (128 - k - pending);
-    pending += k;
-    while (pending >= 64) {
-      words.push_back(static_cast<Word>(window >> 64));
-      window <<= 64;
-      pending -= 64;
+  std::uint64_t codes[kWordBits];
+  for (std::size_t begin = 0; begin < num_rows; begin += kWordBits) {
+    const std::size_t n = std::min<std::size_t>(kWordBits, num_rows - begin);
+    column.DecodeCodes(begin, n, codes);
+    for (std::size_t i = 0; i < n; ++i) {
+      window |= static_cast<UInt128>(codes[i]) << (128 - k - pending);
+      pending += k;
+      while (pending >= 64) {
+        words.push_back(static_cast<Word>(window >> 64));
+        window <<= 64;
+        pending -= 64;
+      }
     }
   }
   if (pending > 0) words.push_back(static_cast<Word>(window >> 64));
   return words;
 }
 
-std::vector<std::uint64_t> UnpackCodes(const std::vector<Word>& words, int k,
-                                       std::size_t count) {
-  std::vector<std::uint64_t> codes(count);
-  UInt128 window = 0;
-  int pending = 0;
-  std::size_t next_word = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (pending < k) {
-      window |= static_cast<UInt128>(
-                    next_word < words.size() ? words[next_word] : 0)
-                << (64 - pending);
-      ++next_word;
-      pending += 64;
-    }
-    codes[i] = static_cast<std::uint64_t>(window >> (128 - k)) & LowMask(k);
-    window <<= k;
-    pending -= k;
+// Writes codes [begin, begin + n) of a k-bit MSB-first word stream to out.
+void UnpackCodes(const std::vector<Word>& words, int k, std::size_t begin,
+                 std::size_t n, std::uint64_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bit = (begin + i) * static_cast<std::size_t>(k);
+    const std::size_t w = bit / 64;
+    const int offset = static_cast<int>(bit % 64);
+    const UInt128 two =
+        (static_cast<UInt128>(words[w]) << 64) |
+        (w + 1 < words.size() ? words[w + 1] : 0);
+    out[i] = static_cast<std::uint64_t>(two >> (128 - offset - k)) &
+             LowMask(k);
   }
-  return codes;
 }
 
 // Serializes the table into `w` (everything between the magic and the
@@ -272,8 +275,7 @@ void WritePayload(const Table& table, Writer& w) {
       w.I64(column.encoder().min_value());
       w.I64(column.encoder().max_value());
     }
-    const std::vector<Word> packed =
-        PackCodes(column.codes(), column.bit_width());
+    const std::vector<Word> packed = PackCodes(column, table.num_rows());
     w.U64(packed.size());
     w.Raw(packed.data(), packed.size() * sizeof(Word));
     if (column.nullable()) {
@@ -410,20 +412,7 @@ StatusOr<Table> ReadTable(const std::string& path) {
       return Status::InvalidArgument("corrupt code stream for '" + name +
                                      "'");
     }
-    const std::vector<std::uint64_t> codes =
-        UnpackCodes(packed, bit_width, num_rows);
-
-    std::vector<std::int64_t> values(num_rows);
-    const std::uint64_t max_code = encoder.num_codes() - 1;
-    for (std::size_t i = 0; i < num_rows; ++i) {
-      if (codes[i] > max_code) {
-        return Status::InvalidArgument("code out of domain in '" + name +
-                                       "'");
-      }
-      values[i] = encoder.Decode(codes[i]);
-    }
-
-    Status status;
+    std::vector<bool> valid;
     if (nullable) {
       const std::uint64_t bitmap_words = r.U64();
       if (r.failed() || bitmap_words != CeilDiv(num_rows, 64) ||
@@ -437,7 +426,7 @@ StatusOr<Table> ReadTable(const std::string& path) {
         return Status::InvalidArgument("corrupt validity bitmap for '" +
                                        name + "'");
       }
-      std::vector<bool> valid(num_rows);
+      valid.resize(num_rows);
       bool any_valid = false;
       for (std::size_t i = 0; i < num_rows; ++i) {
         valid[i] = dense.GetBit(i);
@@ -449,9 +438,28 @@ StatusOr<Table> ReadTable(const std::string& path) {
         return Status::InvalidArgument("corrupt validity bitmap for '" +
                                        name + "'");
       }
-      status = table.AddNullableColumn(name, values, valid, spec);
-    } else {
-      status = table.AddColumn(name, values, spec);
+    }
+
+    // The stream's codes go straight into the packer under the file's
+    // encoder: each is checked against the encoder's domain as it is
+    // unpacked, and NULL rows get code 0 as AddNullableColumn gives them.
+    const std::uint64_t max_code = encoder.num_codes() - 1;
+    bool out_of_domain = false;
+    const Status status = table.AddCodedColumn(
+        name, num_rows, spec, std::move(encoder),
+        [&](std::size_t begin, std::size_t n, std::uint64_t* out) {
+          UnpackCodes(packed, bit_width, begin, n, out);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (out[i] > max_code) {
+              out_of_domain = true;
+              out[i] = 0;
+            }
+            if (nullable && !valid[begin + i]) out[i] = 0;
+          }
+        },
+        nullable ? &valid : nullptr);
+    if (out_of_domain) {
+      return Status::InvalidArgument("code out of domain in '" + name + "'");
     }
     ICP_RETURN_IF_ERROR(status);
   }

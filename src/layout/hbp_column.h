@@ -57,6 +57,18 @@ class HbpColumn {
     return Pack(codes.data(), codes.size(), k, Options());
   }
 
+  /// Packs `n` codes taken from `fill` one segment at a time.
+  static HbpColumn PackFrom(std::size_t n, int k, Options options,
+                            const CodeFill& fill);
+
+  /// This lanes == 1 column re-packed with `lanes` interleaved segments,
+  /// built from its words (the codes are never rebuilt).
+  HbpColumn Interleave(int lanes) const;
+
+  /// Writes codes [begin, begin + n) to out[0, n), unpacking the fields
+  /// of each segment touched.
+  void Decode(std::size_t begin, std::size_t n, std::uint64_t* out) const;
+
   std::size_t num_values() const { return num_values_; }
   int bit_width() const { return k_; }
   int tau() const { return tau_; }
@@ -109,6 +121,13 @@ class HbpColumn {
   }
 
  private:
+  // A zeroed column of the given shape (storage_ok() false when an
+  // allocation failed).
+  static HbpColumn Allocate(std::size_t n, int k, Options options);
+  // The values_per_segment() codes of segment `seg` from/to its words.
+  void LoadSegment(std::size_t seg, std::uint64_t* codes) const;
+  void StoreSegment(std::size_t seg, const std::uint64_t* codes);
+
   std::size_t num_values_ = 0;
   std::size_t num_segments_ = 0;
   int k_ = 0;

@@ -23,11 +23,27 @@
 // The `lanes` option interleaves the words of `lanes` consecutive segments
 // so 256-bit SIMD kernels can load the same (bit, sub-segment) word of four
 // segments with one aligned load. lanes == 1 is the plain scalar layout.
+//
+// The packing is the only copy of a column's codes: the packers take the
+// codes one segment at a time from a CodeFill, and every reader that needs
+// plain codes back (group-by, serialization) decodes a segment at a time
+// from the packing (VbpColumn::Decode / HbpColumn::Decode).
 
 #ifndef ICP_LAYOUT_LAYOUT_H_
 #define ICP_LAYOUT_LAYOUT_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+
 namespace icp {
+
+/// Producer of the codes a packer packs: fill(begin, n, out) writes codes
+/// [begin, begin + n) of the column to out[0, n). The packers call it once
+/// per segment, in row order, so a column is built without ever holding
+/// more than one segment of plain codes.
+using CodeFill =
+    std::function<void(std::size_t begin, std::size_t n, std::uint64_t* out)>;
 
 enum class Layout {
   kVbp,

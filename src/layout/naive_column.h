@@ -5,10 +5,12 @@
 #ifndef ICP_LAYOUT_NAIVE_COLUMN_H_
 #define ICP_LAYOUT_NAIVE_COLUMN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "layout/layout.h"
 #include "util/aligned_buffer.h"
 #include "util/bits.h"
 #include "util/check.h"
@@ -20,15 +22,23 @@ class NaiveColumn {
   NaiveColumn() = default;
 
   static NaiveColumn Pack(const std::uint64_t* codes, std::size_t n, int k) {
+    return PackFrom(n, k,
+                    [codes](std::size_t begin, std::size_t count,
+                            std::uint64_t* out) {
+                      std::copy_n(codes + begin, count, out);
+                    });
+  }
+  /// Packs `n` codes taken from `fill` (straight into the column's words).
+  static NaiveColumn PackFrom(std::size_t n, int k, const CodeFill& fill) {
     ICP_CHECK(k >= 1 && k <= kWordBits);
     NaiveColumn col;
     col.k_ = k;
     col.values_ = WordBuffer(n == 0 ? 1 : n);
     col.num_values_ = n;
     if (col.values_.alloc_failed()) return col;
-    for (std::size_t i = 0; i < n; ++i) {
-      ICP_DCHECK(k == kWordBits || codes[i] < (std::uint64_t{1} << k));
-      col.values_[i] = codes[i];
+    for (std::size_t begin = 0; begin < n; begin += kWordBits) {
+      fill(begin, std::min<std::size_t>(kWordBits, n - begin),
+           col.values_.data() + begin);
     }
     return col;
   }

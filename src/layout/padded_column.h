@@ -11,10 +11,12 @@
 #ifndef ICP_LAYOUT_PADDED_COLUMN_H_
 #define ICP_LAYOUT_PADDED_COLUMN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "layout/layout.h"
 #include "util/aligned_buffer.h"
 #include "util/bits.h"
 #include "util/check.h"
@@ -27,6 +29,14 @@ class PaddedColumn {
 
   static PaddedColumn Pack(const std::uint64_t* codes, std::size_t n,
                            int k) {
+    return PackFrom(n, k,
+                    [codes](std::size_t begin, std::size_t count,
+                            std::uint64_t* out) {
+                      std::copy_n(codes + begin, count, out);
+                    });
+  }
+  /// Packs `n` codes taken from `fill`, 64 at a time.
+  static PaddedColumn PackFrom(std::size_t n, int k, const CodeFill& fill) {
     ICP_CHECK(k >= 1 && k <= kWordBits);
     ICP_CHECK_GE(n, 1u);
     PaddedColumn col;
@@ -35,9 +45,14 @@ class PaddedColumn {
     col.element_bits_ = k <= 8 ? 8 : k <= 16 ? 16 : k <= 32 ? 32 : 64;
     col.data_ = WordBuffer(CeilDiv(n * col.element_bits_, kWordBits));
     if (col.data_.alloc_failed()) return col;
-    for (std::size_t i = 0; i < n; ++i) {
-      ICP_DCHECK(k == kWordBits || codes[i] < (std::uint64_t{1} << k));
-      col.Set(i, codes[i]);
+    std::uint64_t codes[kWordBits];
+    for (std::size_t begin = 0; begin < n; begin += kWordBits) {
+      const std::size_t count = std::min<std::size_t>(kWordBits, n - begin);
+      fill(begin, count, codes);
+      for (std::size_t i = 0; i < count; ++i) {
+        ICP_DCHECK(k == kWordBits || codes[i] < (std::uint64_t{1} << k));
+        col.Set(begin + i, codes[i]);
+      }
     }
     return col;
   }

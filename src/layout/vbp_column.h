@@ -35,7 +35,8 @@ class VbpColumn {
 
   VbpColumn() = default;
 
-  /// Packs `n` codes, each < 2^k, into VBP form.
+  /// Packs `n` codes, each < 2^k, into VBP form: one vbp_pack transpose
+  /// (simd/dispatch.h) per 64-value segment.
   static VbpColumn Pack(const std::uint64_t* codes, std::size_t n, int k,
                         Options options);
   static VbpColumn Pack(const std::uint64_t* codes, std::size_t n, int k) {
@@ -48,6 +49,18 @@ class VbpColumn {
   static VbpColumn Pack(const std::vector<std::uint64_t>& codes, int k) {
     return Pack(codes.data(), codes.size(), k, Options());
   }
+
+  /// Packs `n` codes taken from `fill` one segment at a time.
+  static VbpColumn PackFrom(std::size_t n, int k, Options options,
+                            const CodeFill& fill);
+
+  /// This lanes == 1 column re-packed with `lanes` interleaved segments,
+  /// built from its words (the codes are never rebuilt).
+  VbpColumn Interleave(int lanes) const;
+
+  /// Writes codes [begin, begin + n) to out[0, n), one vbp_unpack
+  /// transpose per segment touched.
+  void Decode(std::size_t begin, std::size_t n, std::uint64_t* out) const;
 
   std::size_t num_values() const { return num_values_; }
   int bit_width() const { return k_; }
@@ -98,6 +111,14 @@ class VbpColumn {
   }
 
  private:
+  // A zeroed column of the given shape (storage_ok() false when an
+  // allocation failed).
+  static VbpColumn Allocate(std::size_t n, int k, Options options);
+  // Plane words of segment `seg` (k of them, most significant first)
+  // from/to the word-group regions.
+  void LoadSegment(std::size_t seg, Word* planes) const;
+  void StoreSegment(std::size_t seg, const Word* planes);
+
   std::size_t num_values_ = 0;
   std::size_t num_segments_ = 0;
   int k_ = 0;

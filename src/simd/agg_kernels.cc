@@ -147,10 +147,16 @@ namespace {
 // vbp_extreme_fold
 // ---------------------------------------------------------------------------
 
-void VbpExtremeFoldScalar(const Word* const* bases, const int* widths,
-                          int num_groups, int tau, int lanes,
-                          const Word* filter, std::size_t n, bool is_min,
-                          Word* temp, FoldCounters* counters) {
+namespace {
+
+// The fold bodies are force-inlined so each caller that passes a constant
+// `lanes` gets its own copy with the lane loops unrolled away: the scalar
+// slots below split off lanes == 1 (the engine's packing), which runs 2-3x
+// faster than the runtime-lanes loop.
+[[gnu::always_inline]] inline void VbpExtremeFoldBody(
+    const Word* const* bases, const int* widths, int num_groups, int tau,
+    int lanes, const Word* filter, std::size_t n, bool is_min, Word* temp,
+    FoldCounters* counters) {
   ICP_DCHECK(lanes >= 1 && lanes <= kMaxLanes);
   for (std::size_t u = 0; u < n; ++u) {
     const Word* f = filter + u * lanes;
@@ -214,14 +220,31 @@ void VbpExtremeFoldScalar(const Word* const* bases, const int* widths,
   }
 }
 
+}  // namespace
+
+void VbpExtremeFoldScalar(const Word* const* bases, const int* widths,
+                          int num_groups, int tau, int lanes,
+                          const Word* filter, std::size_t n, bool is_min,
+                          Word* temp, FoldCounters* counters) {
+  if (lanes == 1) {
+    VbpExtremeFoldBody(bases, widths, num_groups, tau, /*lanes=*/1, filter,
+                       n, is_min, temp, counters);
+  } else {
+    VbpExtremeFoldBody(bases, widths, num_groups, tau, lanes, filter, n,
+                       is_min, temp, counters);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // hbp_extreme_fold
 // ---------------------------------------------------------------------------
 
-void HbpExtremeFoldScalar(const Word* const* bases, int num_groups, int s,
-                          int tau, int lanes, const Word* filter,
-                          std::size_t n, bool is_min, Word* temp,
-                          FoldCounters* counters) {
+namespace {
+
+[[gnu::always_inline]] inline void HbpExtremeFoldBody(
+    const Word* const* bases, int num_groups, int s, int tau, int lanes,
+    const Word* filter, std::size_t n, bool is_min, Word* temp,
+    FoldCounters* counters) {
   ICP_DCHECK(lanes >= 1 && lanes <= kMaxLanes);
   const Word dm = DelimiterMask(s);
   for (std::size_t u = 0; u < n; ++u) {
@@ -291,6 +314,21 @@ void HbpExtremeFoldScalar(const Word* const* bases, int num_groups, int s,
   }
 }
 
+}  // namespace
+
+void HbpExtremeFoldScalar(const Word* const* bases, int num_groups, int s,
+                          int tau, int lanes, const Word* filter,
+                          std::size_t n, bool is_min, Word* temp,
+                          FoldCounters* counters) {
+  if (lanes == 1) {
+    HbpExtremeFoldBody(bases, num_groups, s, tau, /*lanes=*/1, filter, n,
+                       is_min, temp, counters);
+  } else {
+    HbpExtremeFoldBody(bases, num_groups, s, tau, lanes, filter, n, is_min,
+                       temp, counters);
+  }
+}
+
 namespace {
 
 // Run segments [begin, end) of a lanes == 1 fold call through the scalar
@@ -307,8 +345,8 @@ namespace {
   for (int g = 0; g < num_groups; ++g) {
     sub[g] = bases[g] + begin * static_cast<std::size_t>(widths[g]);
   }
-  VbpExtremeFoldScalar(sub, widths, num_groups, tau, /*lanes=*/1,
-                       filter + begin, end - begin, is_min, temp, counters);
+  VbpExtremeFoldBody(sub, widths, num_groups, tau, /*lanes=*/1,
+                     filter + begin, end - begin, is_min, temp, counters);
 }
 
 [[maybe_unused]] void HbpFoldScalarRange(const Word* const* bases,
@@ -322,8 +360,8 @@ namespace {
   for (int g = 0; g < num_groups; ++g) {
     sub[g] = bases[g] + begin * static_cast<std::size_t>(s);
   }
-  HbpExtremeFoldScalar(sub, num_groups, s, tau, /*lanes=*/1, filter + begin,
-                       end - begin, is_min, temp, counters);
+  HbpExtremeFoldBody(sub, num_groups, s, tau, /*lanes=*/1, filter + begin,
+                     end - begin, is_min, temp, counters);
 }
 
 // Blocks that a failed VBP speculation hands to the scalar fold, the
@@ -522,6 +560,82 @@ void HbpScanKernel(const Word* const* bases, int num_groups, int s, int op,
     }
     out[i] = prior != nullptr ? (filter & prior[i]) : filter;
   }
+}
+
+// ---------------------------------------------------------------------------
+// vbp_pack / vbp_unpack
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The rounds j = from, from/2, ..., 1 of the Hacker's Delight recursive
+// transpose (section 7-3) over rows a[0, 2*from). Round j swaps the
+// off-diagonal j x j blocks of every 2j x 2j block, i.e. exchanges bit j of
+// the row and column index wherever they differ. The rounds act on
+// different index bits, so they commute, and all six rounds over 64 rows
+// transpose the matrix whose row r, bit (63 - c) is element (r, c).
+inline void TransposeRounds(Word* a, int from) {
+  Word m = LowMask(kWordBits / 2);
+  for (int j = kWordBits / 2; j > from;) {
+    j >>= 1;
+    m ^= m << j;
+  }
+  for (int j = from; j != 0;) {
+    for (int r = 0; r < 2 * from; r = (r + j + 1) & ~j) {
+      const Word t = (a[r] ^ (a[r + j] >> j)) & m;
+      a[r] ^= t;
+      a[r + j] ^= t << j;
+    }
+    j >>= 1;
+    m ^= m << j;
+  }
+}
+
+}  // namespace
+
+// Row i of the matrix is code i, so after the transpose row 64 - k + j holds
+// bit k - 1 - j of every code, value i at bit 63 - i: plane j. For k <= 32
+// the top halves of all codes are zero, round 32 merely moves code r + 32
+// into the low half of word r, and the other rounds never touch the zero
+// rows, so the remaining five rounds run over 32 words.
+void VbpPackScalar(const std::uint64_t* codes, std::size_t n, int k,
+                   Word* planes) {
+  ICP_DCHECK(n >= 1 && n <= static_cast<std::size_t>(kWordBits));
+  Word a[kWordBits];
+  for (std::size_t i = 0; i < n; ++i) {
+    ICP_DCHECK(codes[i] <= LowMask(k));  // wider codes corrupt row r - 32
+    a[i] = codes[i];
+  }
+  for (std::size_t i = n; i < kWordBits; ++i) a[i] = 0;
+  if (k <= kWordBits / 2) {
+    for (int r = 0; r < kWordBits / 2; ++r) {
+      a[r] = (a[r] << (kWordBits / 2)) | a[r + kWordBits / 2];
+    }
+    TransposeRounds(a, kWordBits / 4);
+    for (int j = 0; j < k; ++j) planes[j] = a[kWordBits / 2 - k + j];
+    return;
+  }
+  TransposeRounds(a, kWordBits / 2);
+  for (int j = 0; j < k; ++j) planes[j] = a[kWordBits - k + j];
+}
+
+void VbpUnpackScalar(const Word* planes, int k, std::uint64_t* codes) {
+  Word a[kWordBits];
+  if (k <= kWordBits / 2) {
+    constexpr int kHalf = kWordBits / 2;
+    for (int r = 0; r < kHalf - k; ++r) a[r] = 0;
+    for (int j = 0; j < k; ++j) a[kHalf - k + j] = planes[j];
+    TransposeRounds(a, kWordBits / 4);
+    for (int r = 0; r < kHalf; ++r) {
+      codes[r] = a[r] >> kHalf;
+      codes[r + kHalf] = a[r] & LowMask(kHalf);
+    }
+    return;
+  }
+  for (int r = 0; r < kWordBits - k; ++r) a[r] = 0;
+  for (int j = 0; j < k; ++j) a[kWordBits - k + j] = planes[j];
+  TransposeRounds(a, kWordBits / 2);
+  for (int i = 0; i < kWordBits; ++i) codes[i] = a[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -1442,6 +1556,153 @@ ICP_AVX512 void HbpExtremeFoldAvx512(const Word* const* bases,
   }
   HbpExtremeFoldAvx2(bases, num_groups, s, tau, lanes, filter, n, is_min,
                      temp, counters);
+}
+
+namespace {
+
+#define ICP_AVX512_GFNI         \
+  __attribute__((target(       \
+      "avx512f,avx512bw,avx512dq,avx512vl,avx512vbmi,gfni")))
+
+// Source bytes for vgf2p8affineqb with a data qword as the matrix: output
+// byte p of the qword gathers bit p (kGfBitColumns) or bit 7 - p
+// (kGfBitColumnsReversed) of its eight bytes, the last byte landing in
+// bit 0. Either way one instruction transposes eight 8x8 bit blocks.
+constexpr long long kGfBitColumns = 0x8040201008040201LL;
+constexpr long long kGfBitColumnsReversed = 0x0102040810204080LL;
+
+// vpermb index vectors of the segment transpose. A segment's 64 codes sit
+// in eight zmm of eight codes; a byte slice is one zmm whose byte 8q + l
+// is byte b of code 8q + l. After the 8x8 transposes, qword q of a slice
+// holds byte 7 - q of the slice's eight planes (plane bit 8b + p in byte
+// p), since value i sits at bit 63 - i of a plane word.
+struct TransposeTables {
+  // gather[8q + l] = 8l: byte 0 of code 8q + l in that code's zmm (add b
+  // for byte b).
+  alignas(64) std::uint8_t gather[64];
+  // pack_out[w - 1][8r + m] = 8(7 - m) + (w - 1 - r): output qword r is
+  // the plane of bit 8b + w - 1 - r, the order VbpColumn stores planes in.
+  alignas(64) std::uint8_t pack_out[8][64];
+  // unpack_in[w - 1]: the inverse of pack_out with each qword's bytes
+  // reversed (for kGfBitColumnsReversed); bit rows >= w read byte 56,
+  // which the masked plane load left zero.
+  alignas(64) std::uint8_t unpack_in[8][64];
+  // scatter[q][8l + x] = 8q + l: byte b of code 8q + l from a slice (the
+  // store mask picks x = b).
+  alignas(64) std::uint8_t scatter[8][64];
+};
+
+constexpr TransposeTables MakeTransposeTables() {
+  TransposeTables t{};
+  for (int d = 0; d < 64; ++d) {
+    t.gather[d] = static_cast<std::uint8_t>(8 * (d % 8));
+  }
+  for (int w = 1; w <= 8; ++w) {
+    for (int r = 0; r < 8; ++r) {
+      for (int m = 0; m < 8; ++m) {
+        t.pack_out[w - 1][8 * r + m] =
+            static_cast<std::uint8_t>(r < w ? 8 * (7 - m) + (w - 1 - r) : 0);
+      }
+    }
+    for (int q = 0; q < 8; ++q) {
+      for (int p = 0; p < 8; ++p) {
+        const int row = 7 - p;
+        t.unpack_in[w - 1][8 * q + p] =
+            static_cast<std::uint8_t>(row < w ? 8 * (w - 1 - row) + (7 - q)
+                                              : 56);
+      }
+    }
+  }
+  for (int q = 0; q < 8; ++q) {
+    for (int d = 0; d < 64; ++d) {
+      t.scatter[q][d] = static_cast<std::uint8_t>(8 * q + d / 8);
+    }
+  }
+  return t;
+}
+
+constexpr TransposeTables kTransposeTables = MakeTransposeTables();
+
+ICP_AVX512_GFNI inline __m512i LoadTable(const std::uint8_t* p) {
+  return _mm512_load_si512(static_cast<const void*>(p));
+}
+
+ICP_AVX512_GFNI void VbpPackGfni(const std::uint64_t* codes, std::size_t n,
+                                 int k, Word* planes) {
+  __m512i z[8];
+  for (int q = 0; q < 8; ++q) {
+    const std::size_t lo = 8 * static_cast<std::size_t>(q);
+    const unsigned live = n > lo ? static_cast<unsigned>(n - lo) : 0;
+    const __mmask8 mask =
+        live >= 8 ? __mmask8{0xFF}
+                  : static_cast<__mmask8>((1u << live) - 1);
+    z[q] = _mm512_maskz_loadu_epi64(mask, codes + lo);
+  }
+  const __m512i gather = LoadTable(kTransposeTables.gather);
+  const __m512i columns = _mm512_set1_epi64(kGfBitColumns);
+  for (int b = 0; 8 * b < k; ++b) {
+    const __m512i idx =
+        _mm512_add_epi8(gather, _mm512_set1_epi8(static_cast<char>(b)));
+    __m512i slice = _mm512_setzero_si512();
+    for (int q = 0; q < 8; ++q) {
+      slice = _mm512_mask_permutexvar_epi8(
+          slice, __mmask64{0xFF} << (8 * q), idx, z[q]);
+    }
+    const __m512i bits = _mm512_gf2p8affine_epi64_epi8(columns, slice, 0);
+    const int w = std::min(8, k - 8 * b);
+    const __m512i out = _mm512_permutexvar_epi8(
+        LoadTable(kTransposeTables.pack_out[w - 1]), bits);
+    _mm512_mask_storeu_epi64(planes + (k - 8 * b - w),
+                             static_cast<__mmask8>((1u << w) - 1), out);
+  }
+}
+
+ICP_AVX512_GFNI void VbpUnpackGfni(const Word* planes, int k,
+                                   std::uint64_t* codes) {
+  __m512i acc[8];
+  for (__m512i& a : acc) a = _mm512_setzero_si512();
+  const __m512i columns = _mm512_set1_epi64(kGfBitColumnsReversed);
+  for (int b = 0; 8 * b < k; ++b) {
+    const int w = std::min(8, k - 8 * b);
+    const __m512i in = _mm512_maskz_loadu_epi64(
+        static_cast<__mmask8>((1u << w) - 1), planes + (k - 8 * b - w));
+    const __m512i bits = _mm512_permutexvar_epi8(
+        LoadTable(kTransposeTables.unpack_in[w - 1]), in);
+    const __m512i slice = _mm512_gf2p8affine_epi64_epi8(columns, bits, 0);
+    const __mmask64 byte_b = 0x0101010101010101ull << b;
+    for (int q = 0; q < 8; ++q) {
+      acc[q] = _mm512_mask_permutexvar_epi8(
+          acc[q], byte_b, LoadTable(kTransposeTables.scatter[q]), slice);
+    }
+  }
+  for (int q = 0; q < 8; ++q) StoreU512(codes + 8 * q, acc[q]);
+}
+
+#undef ICP_AVX512_GFNI
+
+bool HostHasGfniVbmi() {
+  static const bool has = __builtin_cpu_supports("gfni") &&
+                          __builtin_cpu_supports("avx512vbmi");
+  return has;
+}
+
+}  // namespace
+
+void VbpPackAvx512(const std::uint64_t* codes, std::size_t n, int k,
+                   Word* planes) {
+  if (HostHasGfniVbmi()) {
+    VbpPackGfni(codes, n, k, planes);
+  } else {
+    VbpPackScalar(codes, n, k, planes);
+  }
+}
+
+void VbpUnpackAvx512(const Word* planes, int k, std::uint64_t* codes) {
+  if (HostHasGfniVbmi()) {
+    VbpUnpackGfni(planes, k, codes);
+  } else {
+    VbpUnpackScalar(planes, k, codes);
+  }
 }
 
 #undef ICP_AVX512

@@ -1,6 +1,7 @@
 // Per-tier implementations of the non-popcount KernelOps slots: the filter
 // boolean combines, the rank/MEDIAN masked popcount, the HBP in-word SUM,
-// the VBP/HBP MIN/MAX folds, and the scanner word-compare cascades.
+// the VBP/HBP MIN/MAX folds, the scanner word-compare cascades, and the
+// VBP segment transpose (pack/unpack).
 //
 // These are the hot paths the engine used to hand-roll per call site; they
 // now live behind the dispatch registry (simd/dispatch.h) so one binary
@@ -14,10 +15,12 @@
 //     lanes of (unit, word) are contiguous at
 //     bases[g][(u*words_per_unit + w)*4 .. +3], and the filter/candidate
 //     words of a unit are contiguous too.
-// The generic kernels accept any lanes in [1, 4]. The AVX2/AVX-512
-// specializations have vector paths for both packings the layouts build
-// (lanes == 1, the engine's, and lanes == 4) and fall back to the generic
-// body for any other lane count and for the ragged tail of a call:
+// The generic kernels accept any lanes in [1, 4]; the scalar folds run a
+// copy of their body compiled for lanes == 1 on the engine's packing. The
+// AVX2/AVX-512 specializations have vector paths for both packings the
+// layouts build (lanes == 1, the engine's, and lanes == 4) and fall back to
+// the generic body for any other lane count and for the ragged tail of a
+// call:
 //   * hbp_sum: one kernel for both packings. A block of 4 (AVX2) or 8
 //     (AVX-512) consecutive segments is s contiguous vectors per group;
 //     one permute picks each lane's filter word and one variable shift
@@ -85,6 +88,15 @@ void HbpScanKernel(const Word* const* bases, int num_groups, int s, int op,
                    std::size_t n, const Word* prior, Word* out,
                    ScanCounters* counters);
 
+// ---------------------------------------------------------------------------
+// VBP segment transpose (vbp_pack / vbp_unpack). The scalar body is the
+// Hacker's Delight recursive 64x64 transpose (five rounds over 32 words
+// when k <= 32); the sse and avx2 tiers share it.
+// ---------------------------------------------------------------------------
+void VbpPackScalar(const std::uint64_t* codes, std::size_t n, int k,
+                   Word* planes);
+void VbpUnpackScalar(const Word* planes, int k, std::uint64_t* codes);
+
 #if defined(ICP_POSPOPCNT_HAVE_AVX2)
 // AVX2 variants (function-level target("avx2"); linked everywhere, selected
 // via cpuid). Lane counts other than 1 and 4 fall back to the scalar body.
@@ -147,6 +159,13 @@ void HbpScanAvx512(const Word* const* bases, int num_groups, int s, int op,
                    const Word* c1_packed, const Word* c2_packed, Word md,
                    std::size_t n, const Word* prior, Word* out,
                    ScanCounters* counters);
+// Segment transpose by bytes: one vpermb gathers byte b of all 64 codes,
+// one vgf2p8affineqb transposes the eight 8x8 bit blocks, one vpermb puts
+// each plane's bytes together. Needs GFNI and AVX512_VBMI on top of the
+// tier's features; a host without them runs the scalar transpose.
+void VbpPackAvx512(const std::uint64_t* codes, std::size_t n, int k,
+                   Word* planes);
+void VbpUnpackAvx512(const Word* planes, int k, std::uint64_t* codes);
 #endif
 
 }  // namespace icp::kern

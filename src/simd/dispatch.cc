@@ -25,6 +25,8 @@ const KernelOps kScalarOps = {
     .hbp_extreme_fold = HbpExtremeFoldScalar,
     .vbp_scan = VbpScanKernel,
     .hbp_scan = HbpScanKernel,
+    .vbp_pack = VbpPackScalar,
+    .vbp_unpack = VbpUnpackScalar,
 };
 
 // The CSA trick only pays off on popcount-dominated loops; the compare/
@@ -42,6 +44,8 @@ const KernelOps kSse64Ops = {
     .hbp_extreme_fold = HbpExtremeFoldScalar,
     .vbp_scan = VbpScanKernel,
     .hbp_scan = HbpScanKernel,
+    .vbp_pack = VbpPackScalar,
+    .vbp_unpack = VbpUnpackScalar,
 };
 
 #if defined(ICP_POSPOPCNT_HAVE_AVX2)
@@ -76,6 +80,9 @@ const KernelOps kAvx2Ops = {
     .hbp_extreme_fold = HbpExtremeFoldAvx2,
     .vbp_scan = VbpScanAvx2,
     .hbp_scan = HbpScanAvx2,
+    // No 256-bit segment transpose has been written; the scalar one runs.
+    .vbp_pack = VbpPackScalar,
+    .vbp_unpack = VbpUnpackScalar,
 };
 #endif
 
@@ -95,6 +102,8 @@ const KernelOps kAvx512Ops = {
     .hbp_extreme_fold = HbpExtremeFoldAvx512,
     .vbp_scan = VbpScanAvx512,
     .hbp_scan = HbpScanAvx512,
+    .vbp_pack = VbpPackAvx512,
+    .vbp_unpack = VbpUnpackAvx512,
 };
 #endif
 

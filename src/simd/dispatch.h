@@ -218,6 +218,19 @@ struct KernelOps {
                    const Word* c1_packed, const Word* c2_packed, Word md,
                    std::size_t n, const Word* prior, Word* out,
                    ScanCounters* counters);
+
+  // VBP segment pack: the 64 x k bit-matrix transpose that turns the codes
+  // of one 64-value segment into its k bit planes. For j in [0,k):
+  //   planes[j] bit (63 - i) = bit (k - 1 - j) of codes[i]   (i < n)
+  //   planes[j] bit (63 - i) = 0                             (i >= n)
+  // so plane 0 holds the most significant bits (VbpColumn's word order).
+  // n in [1, 64], k in [1, 63], every code < 2^k. Reads only codes[0, n).
+  void (*vbp_pack)(const std::uint64_t* codes, std::size_t n, int k,
+                   Word* planes);
+
+  // VBP segment unpack, the inverse transpose: writes all 64 codes of a
+  // segment from its k plane words (laid out as vbp_pack writes them).
+  void (*vbp_unpack)(const Word* planes, int k, std::uint64_t* codes);
 };
 
 // Ops table for an explicit tier (clamped to MaxSupportedTier()).

@@ -51,12 +51,6 @@ TEST(RangeEncoderTest, ConstantBounds) {
   EXPECT_FALSE(enc.EncodeExact(9, &code));
 }
 
-TEST(RangeEncoderTest, EncodeAll) {
-  const ColumnEncoder enc = ColumnEncoder::ForRange(100, 200);
-  const auto codes = enc.EncodeAll({100, 150, 200});
-  EXPECT_EQ(codes, (std::vector<std::uint64_t>{0, 50, 100}));
-}
-
 TEST(DictionaryEncoderTest, OrderPreserving) {
   const ColumnEncoder enc =
       ColumnEncoder::ForDictionary({500, -7, 30, 500, 30});

@@ -43,12 +43,14 @@ TEST(CsvLoaderTest, BasicParse) {
   EXPECT_EQ(table->num_rows(), 4u);
   EXPECT_EQ(table->num_columns(), 4u);
 
+  std::uint64_t codes[4];
   const auto& price = **table->GetColumn("price");
-  EXPECT_EQ(price.encoder().Decode(price.codes()[0]), 1999);  // cents
-  EXPECT_EQ(price.encoder().Decode(price.codes()[3]), 50);
+  price.DecodeCodes(0, 4, codes);
+  EXPECT_EQ(price.encoder().Decode(codes[0]), 1999);  // cents
+  EXPECT_EQ(price.encoder().Decode(codes[3]), 50);
   const auto& date = **table->GetColumn("order_date");
-  EXPECT_EQ(date.encoder().Decode(date.codes()[0]),
-            DaysFromCivil(2024, 1, 15));
+  date.DecodeCodes(0, 1, codes);
+  EXPECT_EQ(date.encoder().Decode(codes[0]), DaysFromCivil(2024, 1, 15));
 }
 
 TEST(CsvLoaderTest, QueriesOverLoadedTable) {

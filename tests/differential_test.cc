@@ -20,6 +20,10 @@
 //     // exercises: vbp_bit_sums, vbp_bit_sums_quads, hbp_sum
 //   MIN/MAX reach the extreme folds and MEDIAN/RANK the counting step.
 //     // exercises: vbp_extreme_fold, hbp_extreme_fold, masked_popcount
+// and a second test packs the tables under every tier (the VBP segment
+// transpose) and decodes their codes back (its inverse, as group-by and
+// serialization do).
+//     // exercises: vbp_pack, vbp_unpack
 
 #include <cstdint>
 #include <cstdlib>
@@ -266,6 +270,48 @@ TEST(DifferentialTest, AllLayoutsTiersAndThreadCountsAgreeWithOracle) {
         }
         kern::ForceTier(std::nullopt);
       }
+    }
+  }
+}
+
+// Tables packed under each tier answer like the oracle table packed under
+// the scalar tier, and decode back to the naive column's codes.
+TEST(DifferentialTest, TablesPackedOnEveryTierAgreeWithOracle) {
+  const int kSeeds = 3;
+  const int kQueriesPerSeed = 6;
+  const std::vector<kern::Tier> tiers = CoveredTiers();
+
+  for (int s = 0; s < kSeeds; ++s) {
+    const std::uint64_t seed = BaseSeed() + 100 + static_cast<std::uint64_t>(s);
+    kern::ForceTier(kern::Tier::kScalar);
+    const RandomTable oracle_table = MakeRandomTable(seed);
+    kern::ForceTier(std::nullopt);
+    const std::size_t n = oracle_table.num_rows;
+    std::vector<std::uint64_t> want(n);
+    (*oracle_table.table.GetColumn("v_naive"))->DecodeCodes(0, n, want.data());
+
+    for (const kern::Tier tier : tiers) {
+      kern::ForceTier(tier);
+      const RandomTable rt = MakeRandomTable(seed);
+      std::vector<std::uint64_t> got(n);
+      for (const char* column : kLayoutColumns) {
+        (*rt.table.GetColumn(column))->DecodeCodes(0, n, got.data());
+        ASSERT_EQ(got, want) << "seed=" << seed << " layout=" << column
+                             << " tier=" << kern::TierName(tier);
+      }
+      Random qrng(seed ^ 0x9E3779B97F4A7C15ULL);
+      for (int qi = 0; qi < kQueriesPerSeed; ++qi) {
+        const RandomQuery rq = MakeRandomQuery(qrng, "v_vbp", n);
+        Engine engine(ExecOptions{.threads = 1});
+        auto oracle_or = engine.Execute(oracle_table.table, rq.query);
+        auto result = engine.Execute(rt.table, rq.query);
+        const std::string context =
+            "seed=" + std::to_string(seed) + " query{" + rq.description +
+            "} tier=" + kern::TierName(tier);
+        ASSERT_TRUE(oracle_or.ok() && result.ok()) << context;
+        ExpectSameResult(*result, *oracle_or, context);
+      }
+      kern::ForceTier(std::nullopt);
     }
   }
 }

@@ -681,5 +681,88 @@ TEST(DispatchTest, HbpScanKernelsAgreeAcrossTiers) {
   }
 }
 
+// The per-bit VBP packer the segment transpose replaced: one bit per value
+// per plane. Kept here as the reference the vbp_pack slot must match.
+void ReferencePackSegment(const std::uint64_t* codes, std::size_t n, int k,
+                          Word* planes) {
+  for (int j = 0; j < k; ++j) planes[j] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int j = 0; j < k; ++j) {
+      if ((codes[i] >> (k - 1 - j)) & 1) {
+        planes[j] |= Word{1} << (kWordBits - 1 - static_cast<int>(i));
+      }
+    }
+  }
+}
+
+TEST(DispatchTest, VbpPackMatchesReferencePackerOnEveryTier) {
+  Random rng(2024);
+  const std::vector<kern::Tier> tiers = CoveredTiers();
+  for (int k = 1; k <= 63; ++k) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                std::size_t{7}, std::size_t{8},
+                                std::size_t{9}, std::size_t{33},
+                                std::size_t{63}, std::size_t{64}}) {
+      // Codes past n are garbage: the slot must never read them.
+      std::vector<std::uint64_t> codes(kWordBits, ~std::uint64_t{0});
+      for (std::size_t i = 0; i < n; ++i) {
+        codes[i] = rng.UniformInt(0, LowMask(k));
+      }
+      // The extremes of the domain, so every plane sees ones and zeros.
+      codes[0] = LowMask(k);
+      if (n > 1) codes[n - 1] = 0;
+      Word want[kWordBits];
+      ReferencePackSegment(codes.data(), n, k, want);
+      for (const kern::Tier tier : tiers) {
+        const kern::KernelOps& ops = kern::OpsFor(tier);
+        const std::string context = std::string("tier=") + ops.name +
+                                    " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n);
+        // Canaries after the k planes catch over-long stores.
+        std::vector<Word> planes(k + 8, 0x5A5A5A5A5A5A5A5Aull);
+        ops.vbp_pack(codes.data(), n, k, planes.data());
+        for (int j = 0; j < k; ++j) {
+          ASSERT_EQ(planes[j], want[j]) << context << " plane=" << j;
+        }
+        for (int j = k; j < k + 8; ++j) {
+          ASSERT_EQ(planes[j], 0x5A5A5A5A5A5A5A5Aull) << context;
+        }
+        std::uint64_t back[kWordBits];
+        ops.vbp_unpack(planes.data(), k, back);
+        for (std::size_t i = 0; i < kWordBits; ++i) {
+          ASSERT_EQ(back[i], i < n ? codes[i] : 0)
+              << context << " slot=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchTest, VbpUnpackInvertsArbitraryPlanesOnEveryTier) {
+  // Any k words are a valid segment: unpack then pack must give them back,
+  // and every tier must unpack them to the same codes.
+  Random rng(77);
+  const kern::KernelOps& scalar = kern::OpsFor(kern::Tier::kScalar);
+  const std::vector<kern::Tier> tiers = CoveredTiers();
+  for (int k = 1; k <= 63; ++k) {
+    const std::vector<Word> planes = RandomWords(rng, k);
+    std::uint64_t want[kWordBits];
+    scalar.vbp_unpack(planes.data(), k, want);
+    for (const kern::Tier tier : tiers) {
+      const kern::KernelOps& ops = kern::OpsFor(tier);
+      std::uint64_t codes[kWordBits];
+      ops.vbp_unpack(planes.data(), k, codes);
+      for (std::size_t i = 0; i < kWordBits; ++i) {
+        ASSERT_EQ(codes[i], want[i])
+            << "tier=" << ops.name << " k=" << k << " slot=" << i;
+        ASSERT_LE(codes[i], LowMask(k));
+      }
+      std::vector<Word> again(k);
+      ops.vbp_pack(codes, kWordBits, k, again.data());
+      EXPECT_EQ(again, planes) << "tier=" << ops.name << " k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace icp

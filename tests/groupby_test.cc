@@ -149,9 +149,9 @@ TEST(GroupByCancelTest, PreCancelledTokenDrainsCleanly) {
   const auto& agg = **f.table.GetColumn("v");
 
   groupby::Input in;
-  in.group_codes = group.codes().data();
+  in.group_codes = groupby::CodeReader::Of(group);
   in.num_codes = group.encoder().num_codes();
-  in.agg_codes = agg.codes().data();
+  in.agg_codes = groupby::CodeReader::Of(agg);
   in.agg_bits = agg.bit_width();
   in.filter = &filter;
   in.num_rows = f.num_rows;

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "layout/hbp_column.h"
 #include "layout/naive_column.h"
 #include "layout/vbp_column.h"
+#include "simd/dispatch.h"
 #include "util/random.h"
 
 namespace icp {
@@ -226,6 +229,150 @@ TEST(NaiveColumnTest, RoundTrip) {
     EXPECT_EQ(col.GetValue(i), codes[i]);
   }
   EXPECT_EQ(col.MemoryBytes(), 100u * sizeof(Word));
+}
+
+// ---------------------------------------------------------------------------
+// Packers against the per-value definitions they replaced
+// ---------------------------------------------------------------------------
+
+// Word j of VBP bit-group g in segment seg, straight from the definition:
+// bit 63 - r holds bit k - 1 - (g*tau + j) of the segment's value r.
+Word ReferenceVbpWord(const std::vector<std::uint64_t>& codes, int k,
+                      int tau, int g, std::size_t seg, int j) {
+  const int bit = k - 1 - (g * tau + j);
+  Word word = 0;
+  for (int r = 0; r < kWordBits; ++r) {
+    const std::size_t i = seg * kWordBits + r;
+    if (i < codes.size() && ((codes[i] >> bit) & 1) != 0) {
+      word |= Word{1} << (kWordBits - 1 - r);
+    }
+  }
+  return word;
+}
+
+// Sub-segment t of HBP bit-group g in segment seg: field f holds bit-group
+// g of the segment's value f*s + t.
+Word ReferenceHbpWord(const std::vector<std::uint64_t>& codes,
+                      const HbpColumn& col, int g, std::size_t seg, int t) {
+  const int s = col.field_width();
+  Word word = 0;
+  for (int f = 0; f < col.fields_per_word(); ++f) {
+    const std::size_t i = seg * col.values_per_segment() + f * s + t;
+    if (i >= codes.size()) continue;
+    const Word group = (codes[i] >> col.GroupShift(g)) & LowMask(col.tau());
+    word |= group << (kWordBits - (f + 1) * s);
+  }
+  return word;
+}
+
+TEST(VbpColumnTest, PackMatchesPerBitDefinitionOnEveryTier) {
+  for (int t = 0; t <= static_cast<int>(kern::Tier::kAvx512); ++t) {
+    const auto tier = static_cast<kern::Tier>(t);
+    if (kern::EffectiveTier(tier) != tier) continue;
+    kern::ForceTier(tier);
+    for (const int k : {1, 3, 8, 13, 25, 32, 33, 47, 63}) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65},
+                                  std::size_t{1000}}) {
+        for (const int lanes : {1, 4}) {
+          const auto codes = RandomCodes(n, k, 7 * k + n);
+          const VbpColumn col =
+              VbpColumn::Pack(codes, k, {.tau = 4, .lanes = lanes});
+          for (int g = 0; g < col.num_groups(); ++g) {
+            ASSERT_EQ(col.GroupWordCount(g),
+                      col.num_segments() * col.GroupWidth(g));
+            for (std::size_t seg = 0; seg < col.num_segments(); ++seg) {
+              for (int j = 0; j < col.GroupWidth(g); ++j) {
+                ASSERT_EQ(col.WordAt(g, seg, j),
+                          ReferenceVbpWord(codes, k, col.tau(), g, seg, j))
+                    << kern::TierName(tier) << " k=" << k << " n=" << n
+                    << " lanes=" << lanes << " g=" << g << " seg=" << seg;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  kern::ForceTier(std::nullopt);
+}
+
+TEST(HbpColumnTest, PackMatchesPerValueDefinition) {
+  // Field widths s = tau + 1 from the narrowest to a whole word.
+  for (const int s : {2, 3, 8, 21, 64}) {
+    const int tau = s - 1;
+    for (const int k : {std::min(tau, 5), tau, std::min(2 * tau + 3, 63)}) {
+      for (const int lanes : {1, 4}) {
+        for (const std::size_t n : {std::size_t{1}, std::size_t{63},
+                                    std::size_t{64}, std::size_t{65},
+                                    std::size_t{777}}) {
+          const auto codes = RandomCodes(n, k, 31 * s + k);
+          const HbpColumn col =
+              HbpColumn::Pack(codes, k, {.tau = tau, .lanes = lanes});
+          for (int g = 0; g < col.num_groups(); ++g) {
+            ASSERT_EQ(col.GroupWordCount(g), col.num_segments() * s);
+            for (std::size_t seg = 0; seg < col.num_segments(); ++seg) {
+              for (int t = 0; t < s; ++t) {
+                ASSERT_EQ(col.WordAt(g, seg, t),
+                          ReferenceHbpWord(codes, col, g, seg, t))
+                    << "s=" << s << " k=" << k << " lanes=" << lanes
+                    << " n=" << n << " g=" << g << " seg=" << seg;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LayoutTest, InterleaveEqualsPackingWithLanes) {
+  const auto codes = RandomCodes(1111, 19, 3);
+  const VbpColumn vbp = VbpColumn::Pack(codes, 19, {.tau = 4});
+  const VbpColumn vbp4 = VbpColumn::Pack(codes, 19, {.tau = 4, .lanes = 4});
+  const VbpColumn vbp_interleaved = vbp.Interleave(4);
+  ASSERT_EQ(vbp_interleaved.lanes(), 4);
+  ASSERT_EQ(vbp_interleaved.num_segments(), vbp4.num_segments());
+  for (int g = 0; g < vbp4.num_groups(); ++g) {
+    ASSERT_EQ(vbp_interleaved.GroupWordCount(g), vbp4.GroupWordCount(g));
+    for (std::size_t w = 0; w < vbp4.GroupWordCount(g); ++w) {
+      ASSERT_EQ(vbp_interleaved.GroupData(g)[w], vbp4.GroupData(g)[w]);
+    }
+  }
+  const HbpColumn hbp = HbpColumn::Pack(codes, 19, {.tau = 6});
+  const HbpColumn hbp4 = HbpColumn::Pack(codes, 19, {.tau = 6, .lanes = 4});
+  const HbpColumn hbp_interleaved = hbp.Interleave(4);
+  ASSERT_EQ(hbp_interleaved.lanes(), 4);
+  ASSERT_EQ(hbp_interleaved.num_segments(), hbp4.num_segments());
+  for (int g = 0; g < hbp4.num_groups(); ++g) {
+    ASSERT_EQ(hbp_interleaved.GroupWordCount(g), hbp4.GroupWordCount(g));
+    for (std::size_t w = 0; w < hbp4.GroupWordCount(g); ++w) {
+      ASSERT_EQ(hbp_interleaved.GroupData(g)[w], hbp4.GroupData(g)[w]);
+    }
+  }
+}
+
+TEST(LayoutTest, DecodeReadsAnyRangeBackFromThePacking) {
+  for (const int k : {1, 7, 16, 33, 63}) {
+    const auto codes = RandomCodes(1000, k, 500 + k);
+    const VbpColumn vbp = VbpColumn::Pack(codes, k);
+    const VbpColumn vbp4 = VbpColumn::Pack(codes, k, {.lanes = 4});
+    const HbpColumn hbp = HbpColumn::Pack(codes, k);
+    for (const auto& [begin, n] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, 1000}, {0, 64}, {64, 64}, {5, 1}, {63, 2}, {100, 333},
+             {999, 1}, {960, 40}}) {
+      std::vector<std::uint64_t> want(codes.begin() + begin,
+                                      codes.begin() + begin + n);
+      std::vector<std::uint64_t> got(n);
+      vbp.Decode(begin, n, got.data());
+      ASSERT_EQ(got, want) << "vbp k=" << k << " begin=" << begin;
+      vbp4.Decode(begin, n, got.data());
+      ASSERT_EQ(got, want) << "vbp lanes=4 k=" << k << " begin=" << begin;
+      hbp.Decode(begin, n, got.data());
+      ASSERT_EQ(got, want) << "hbp k=" << k << " begin=" << begin;
+    }
+  }
 }
 
 }  // namespace

@@ -375,6 +375,40 @@ TEST_F(GovernedEngineTest, GovernedExecuteMatchesUngoverned) {
   EXPECT_EQ(qs.sched_morsels_dispatched, qs.sched_morsels_completed);
 }
 
+// A governed engine with `simd` set is still admitted and runs its scan and
+// aggregate as scheduler morsels over the lanes == 1 packing; the lanes == 4
+// side path (private pool, modelled scan counters) is never taken.
+TEST_F(GovernedEngineTest, GovernedSimdQueryRunsOnTheScheduler) {
+  MorselScheduler scheduler(3);
+  QueryGovernor governor(scheduler, {.max_concurrent = 2});
+
+  Engine plain(ExecOptions{.threads = 1});
+  obs::QueryStats qs;
+  ExecOptions governed_opts;
+  governed_opts.threads = 2;
+  governed_opts.simd = true;
+  governed_opts.stats = &qs;
+  governed_opts.governor = &governor;
+  Engine governed(governed_opts);
+
+  for (const AggKind kind : {AggKind::kSum, AggKind::kMax}) {
+    Query q = SumBelow(37);
+    q.agg = kind;
+    auto expected = plain.Execute(table_, q);
+    ASSERT_TRUE(expected.ok());
+    auto got = governed.Execute(table_, q);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_EQ(got->count, expected->count);
+    EXPECT_EQ(got->value, expected->value);
+    EXPECT_GT(qs.granted_parallelism, 0);
+    EXPECT_GT(qs.sched_morsels_dispatched, 0u);
+    EXPECT_EQ(qs.sched_morsels_dispatched, qs.sched_morsels_completed);
+    EXPECT_EQ(qs.scan_leaves_modeled, 0u);
+  }
+  // Every admitted session was released.
+  EXPECT_EQ(governor.Snapshot().active, 0);
+}
+
 // Each aggregate counts its filter once. On a table that fits in one
 // morsel every governed region dispatches exactly one morsel, so the
 // dispatched count is the number of parallel regions the query ran.

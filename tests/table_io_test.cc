@@ -23,6 +23,14 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+// Every code of `column`, decoded from its packing.
+std::vector<std::uint64_t> Codes(const Table::Column& column,
+                                 std::size_t num_rows) {
+  std::vector<std::uint64_t> codes(num_rows);
+  column.DecodeCodes(0, num_rows, codes.data());
+  return codes;
+}
+
 Table MakeRichTable(std::size_t n) {
   Random rng(77);
   std::vector<std::int64_t> a(n), b(n), c(n), d(n);
@@ -68,7 +76,8 @@ TEST(TableIoTest, RoundTripPreservesEverything) {
     ASSERT_EQ(l.spec().layout, o.spec().layout) << name;
     ASSERT_EQ(l.spec().tau, o.spec().tau) << name;
     ASSERT_EQ(l.nullable(), o.nullable()) << name;
-    ASSERT_EQ(l.codes(), o.codes()) << name;
+    ASSERT_EQ(Codes(l, loaded.num_rows()), Codes(o, original.num_rows()))
+        << name;
     if (o.nullable()) {
       ASSERT_TRUE(l.validity() == o.validity()) << name;
     }
@@ -165,8 +174,8 @@ TEST(TableIoTest, PaddedAndNaiveLayoutsRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded->GetColumn("p"))->spec().layout, Layout::kPadded);
   EXPECT_EQ((*loaded->GetColumn("n"))->spec().layout, Layout::kNaive);
-  EXPECT_EQ((*loaded->GetColumn("p"))->codes(),
-            (*table.GetColumn("p"))->codes());
+  EXPECT_EQ(Codes(**loaded->GetColumn("p"), loaded->num_rows()),
+            Codes(**table.GetColumn("p"), table.num_rows()));
 }
 
 TEST(TableIoTest, SingleRowTable) {
@@ -177,9 +186,8 @@ TEST(TableIoTest, SingleRowTable) {
   auto loaded = io::ReadTable(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_rows(), 1u);
-  EXPECT_EQ((*loaded->GetColumn("x"))->encoder().Decode(
-                (*loaded->GetColumn("x"))->codes()[0]),
-            42);
+  const Table::Column& x = **loaded->GetColumn("x");
+  EXPECT_EQ(x.encoder().Decode(Codes(x, 1)[0]), 42);
 }
 
 TEST(TableIoTest, SuccessfulWriteLeavesNoStagingFile) {

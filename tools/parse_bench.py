@@ -42,7 +42,10 @@ import re
 import sys
 from typing import Any
 
-TIER_NAMES = {0: "scalar", 1: "sse", 2: "avx2", 3: "avx512"}
+# Tier -1 is a benchmark's reference row: the pre-registry code a slot
+# replaced (BM_VbpPackTier's per-bit packer), recorded as the baseline.
+TIER_NAMES = {-1: "reference", 0: "scalar", 1: "sse", 2: "avx2",
+              3: "avx512"}
 
 # Nanoseconds per google-benchmark time_unit. A benchmark reports
 # cpu_time in its own unit (->Unit(benchmark::kMillisecond) and so on);
