@@ -2,15 +2,19 @@
 //
 // Measures Engine::ExecuteGroupBy end-to-end for both strategies — the
 // naive per-code scan loop and the single-pass operator (src/groupby/) —
-// over a dictionary group column at cardinalities 2^g for g in 4..24.
+// over a dictionary group column at cardinalities 2^g for g in 0..24, on a
+// 1-thread and a 4-thread engine (the single-pass operator's slots only
+// contend with each other at more than one thread).
 // The recorded series (BENCH_groupby.json, via tools/parse_bench.py
 // --kernel-json) is the measurement behind ExecOptions::groupby_threshold's
 // default: the crossover where the single-pass operator starts winning.
 //
 // The naive strategy's cost grows O(table x groups / 64) (one chunked
 // scatter pass plus one aggregate kernel pass per code), so it is only
-// registered up to g = 12; past the crossover the single-pass operator is
-// the only strategy worth the machine time.
+// registered up to g = 12, and at 1 thread; past the crossover the
+// single-pass operator is the only strategy worth the machine time.
+// items_per_second is wall-clock (UseRealTime); cpu_time counts only the
+// calling thread, one of the 4-thread engine's slots.
 //
 // Tuple count defaults to 2^24 (the acceptance point for the crossover
 // measurement); override with ICP_BENCH_TUPLES for smoke runs.
@@ -18,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -86,6 +91,7 @@ void RunGroupBy(benchmark::State& state, std::uint64_t threshold) {
   q.agg = AggKind::kSum;
   q.agg_column = "v";
   ExecOptions opts;
+  opts.threads = static_cast<int>(state.range(2));
   opts.groupby_threshold = threshold;
   Engine engine(opts);
 
@@ -104,28 +110,26 @@ void RunGroupBy(benchmark::State& state, std::uint64_t threshold) {
   state.SetLabel(std::string("tier=") + kern::OpsFor(tier).name);
 }
 
+// Arguments g-major, so each table is built once per strategy sweep.
+void GroupByArgs(benchmark::internal::Benchmark* b, int max_g,
+                 std::initializer_list<int> threads) {
+  b->ArgNames({"tier", "g", "threads"});
+  for (const int g : {0, 2, 4, 8, 12, 16, 20, 24}) {
+    if (g > max_g) break;
+    for (const int tier : {0, 2}) {
+      for (const int t : threads) b->Args({tier, g, t});
+    }
+  }
+}
+
 // exercises: groupby single-pass operator
 void BM_GroupBySinglePass(benchmark::State& state) {
   RunGroupBy(state, /*threshold=*/1);  // force single-pass
 }
 BENCHMARK(BM_GroupBySinglePass)
-    ->ArgNames({"tier", "g"})
-    ->Args({0, 0})
-    ->Args({2, 0})
-    ->Args({0, 2})
-    ->Args({2, 2})
-    ->Args({0, 4})
-    ->Args({2, 4})
-    ->Args({0, 8})
-    ->Args({2, 8})
-    ->Args({0, 12})
-    ->Args({2, 12})
-    ->Args({0, 16})
-    ->Args({2, 16})
-    ->Args({0, 20})
-    ->Args({2, 20})
-    ->Args({0, 24})
-    ->Args({2, 24})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      GroupByArgs(b, 24, {1, 4});
+    })
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -134,17 +138,9 @@ void BM_GroupByNaive(benchmark::State& state) {
   RunGroupBy(state, /*threshold=*/std::numeric_limits<std::uint64_t>::max());
 }
 BENCHMARK(BM_GroupByNaive)
-    ->ArgNames({"tier", "g"})
-    ->Args({0, 0})
-    ->Args({2, 0})
-    ->Args({0, 2})
-    ->Args({2, 2})
-    ->Args({0, 4})
-    ->Args({2, 4})
-    ->Args({0, 8})
-    ->Args({2, 8})
-    ->Args({0, 12})
-    ->Args({2, 12})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      GroupByArgs(b, 12, {1});
+    })
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

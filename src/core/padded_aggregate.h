@@ -44,7 +44,9 @@ UInt128 SumTyped(const PaddedColumn& column, const FilterBitVector& filter,
                  const CancelContext* cancel) {
   const T* data = column.As<T>();
   const std::size_t n = column.num_values();
-  std::uint64_t sum = 0;  // n * 2^k fits: checked by the caller split
+  std::uint64_t sum = 0;
+  // 64-bit elements can wrap `sum` within one segment: count the wraps.
+  std::uint64_t carries = 0;
   UInt128 wide_sum = 0;
   ForEachCancellableBatch(
       cancel, 0, filter.num_segments(), [&](std::size_t sb, std::size_t se) {
@@ -58,7 +60,11 @@ UInt128 SumTyped(const PaddedColumn& column, const FilterBitVector& filter,
             const std::uint64_t mask =
                 static_cast<std::uint64_t>(0) -
                 ((f >> (63 - (i - begin))) & 1);
-            sum += static_cast<std::uint64_t>(data[i]) & mask;
+            const std::uint64_t v = static_cast<std::uint64_t>(data[i]) & mask;
+            sum += v;
+            if constexpr (sizeof(T) == sizeof(std::uint64_t)) {
+              carries += sum < v ? 1 : 0;
+            }
           }
           // Periodically drain into the wide accumulator so narrow-element
           // sums cannot overflow 64 bits even for huge columns.
@@ -68,7 +74,7 @@ UInt128 SumTyped(const PaddedColumn& column, const FilterBitVector& filter,
           }
         }
       });
-  return wide_sum + sum;
+  return wide_sum + sum + (static_cast<UInt128>(carries) << kWordBits);
 }
 
 }  // namespace internal

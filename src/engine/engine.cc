@@ -807,9 +807,12 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
   obs::QueryStats* qs = options_.stats;
 
   // NULL group rows belong to no group: intersect once up front (base is
-  // already shaped for the group column).
-  FilterBitVector eff = base;
-  if (group.nullable()) eff.And(group.validity());
+  // already shaped for the group column), copying base only to do so.
+  FilterBitVector masked;
+  if (group.nullable()) {
+    masked = base;
+    masked.And(group.validity());
+  }
 
   groupby::Input in;
   in.group_codes = groupby::CodeReader::Of(group);
@@ -818,7 +821,7 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
     in.agg_codes = groupby::CodeReader::Of(agg);
     in.agg_bits = agg.bit_width();
   }
-  in.filter = &eff;
+  in.filter = group.nullable() ? &masked : &base;
   if (agg.nullable()) in.agg_validity = &agg.validity();
   in.num_rows = table.num_rows();
 
@@ -845,45 +848,42 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
   const ColumnEncoder& encoder = agg.encoder();
   std::vector<std::pair<std::int64_t, QueryResult>> results;
   results.reserve(groups_or->size());
-  for (const auto& [code, acc] : *groups_or) {
+  for (const groupby::Group& g : *groups_or) {
     QueryResult r;
     r.kind = query.agg;
-    r.count = acc.count;
+    r.count = g.count;
     r.scan_cycles = scan_cycles;
     r.agg_cycles = agg_cycles;
     switch (query.agg) {
       case AggKind::kCount:
-        r.value = static_cast<double>(acc.count);
+        r.value = static_cast<double>(g.count);
         break;
       case AggKind::kSum:
-        r.code_sum = acc.sum;
+        r.code_sum = g.value;
         r.value = static_cast<double>(encoder.min_value()) *
-                      static_cast<double>(acc.count) +
-                  UInt128ToDouble(acc.sum);
+                      static_cast<double>(g.count) +
+                  UInt128ToDouble(g.value);
         break;
       case AggKind::kAvg:
-        r.code_sum = acc.sum;
-        if (acc.count > 0) {
+        r.code_sum = g.value;
+        if (g.count > 0) {
           r.value = static_cast<double>(encoder.min_value()) +
-                    UInt128ToDouble(acc.sum) /
-                        static_cast<double>(acc.count);
+                    UInt128ToDouble(g.value) / static_cast<double>(g.count);
         }
         break;
       case AggKind::kMin:
-      case AggKind::kMax: {
-        if (acc.count > 0) {
-          const std::uint64_t v =
-              query.agg == AggKind::kMin ? acc.min : acc.max;
+      case AggKind::kMax:
+        if (g.count > 0) {
+          const auto v = static_cast<std::uint64_t>(g.value);
           r.code_value = v;
           r.decoded_value = encoder.Decode(v);
           r.value = static_cast<double>(*r.decoded_value);
         }
         break;
-      }
       default:
         return Status::Internal("aggregate not supported single-pass");
     }
-    results.emplace_back(group.encoder().Decode(code), std::move(r));
+    results.emplace_back(group.encoder().Decode(g.code), std::move(r));
   }
 
   if (qs != nullptr) {
@@ -892,6 +892,7 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
     qs->groupby_spilled_rows = gstats.spilled_rows;
     qs->groupby_merge_entries = gstats.merge_entries;
     qs->groupby_partitions = gstats.partitions;
+    qs->groupby_record_bytes = gstats.record_bytes;
     qs->method = AggMethodToString(options_.method);
     qs->threads = options_.threads;
     qs->simd = options_.simd;
@@ -1143,13 +1144,15 @@ std::string FormatExplainAnalyze(const obs::QueryStats& stats,
   if (stats.groupby_strategy[0] != '\0') {
     AppendF(&out,
             "groupby: strategy=%s groups=%llu local_hits=%llu "
-            "spilled=%llu merge_entries=%llu partitions=%llu\n",
+            "spilled=%llu merge_entries=%llu partitions=%llu "
+            "record_bytes=%llu\n",
             stats.groupby_strategy,
             static_cast<unsigned long long>(stats.groupby_groups),
             static_cast<unsigned long long>(stats.groupby_local_hits),
             static_cast<unsigned long long>(stats.groupby_spilled_rows),
             static_cast<unsigned long long>(stats.groupby_merge_entries),
-            static_cast<unsigned long long>(stats.groupby_partitions));
+            static_cast<unsigned long long>(stats.groupby_partitions),
+            static_cast<unsigned long long>(stats.groupby_record_bytes));
   }
   if (stats.granted_parallelism > 0) {
     AppendF(&out,

@@ -7,16 +7,25 @@
 // dictionary codes (direct-indexed when the dictionary fits the local
 // budget, open-addressed otherwise) and spills rows whose group cannot be
 // admitted into radix partitions keyed by the code's high bits. A second
-// parallel region then merges, per partition, the per-slot partial tables
-// and the packed spill rows into one dense accumulator array and emits the
-// non-empty groups in code order.
+// parallel region then merges per partition, i.e. per contiguous code
+// range: direct tables are summed slot by slot over the range, hashed
+// tables' entries and the packed spill rows fold into one dense array, and
+// the non-empty groups come out in code order.
+//
+// Group records hold only what the aggregate needs. When no passing agg
+// value is NULL and code-domain sums fit 64 bits, a group is a 16-byte
+// {rows, value} record (value = code sum for COUNT/SUM/AVG, the running
+// extreme for MIN/MAX), so a 2^16-code dictionary direct-indexes in the
+// default 1 MiB per slot. Otherwise a group is the 48-byte record of
+// rows, non-NULL count, 128-bit sum, min and max. Each slot's state sits
+// on cache lines of its own, so slots never write a shared line.
 //
 // The operator works in the code domain only (the caller decodes through
 // the column encoder) and leans on the kernel registry where the work is
 // bit-parallel: filter liveness is popcounted through kern::Ops()
 // (popcount_words / popcount_and) and dead 64-row segments are skipped on
-// the segment word, while the scatter into per-group accumulators is
-// scalar per passing row — the part no bit-parallel layout can batch (see
+// the segment word, while the scatter into per-group records is scalar
+// per passing row — the part no bit-parallel layout can batch (see
 // docs/groupby.md).
 //
 // Failure injection: `groupby/spill` fires on the spill-append path and
@@ -28,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "bitvector/filter_bit_vector.h"
@@ -45,10 +53,14 @@ namespace icp::groupby {
 /// total local-table memory is local_table_bytes x the executor's slots,
 /// so a governor-degraded grant shrinks it automatically.
 struct Options {
+  /// COUNT, SUM, AVG, MIN or MAX; decides Group::value and, with the agg
+  /// column's NULLs and bit width, the size of a group record.
   AggKind kind = AggKind::kCount;
-  /// Per-slot local aggregation-table budget in bytes. Budgets too small
-  /// for even one hash entry put the slot in pure-spill mode (every row
-  /// spills) — the degenerate case the overflow tests pin down.
+  /// Per-slot local aggregation-table budget in bytes. A dictionary goes
+  /// direct-indexed when num_codes x the record size (16 or 48 bytes)
+  /// fits it, open-addressed otherwise. Budgets too small for even one
+  /// hash entry put the slot in pure-spill mode (every row spills) — the
+  /// degenerate case the overflow tests pin down.
   std::size_t local_table_bytes = std::size_t{1} << 20;
   /// log2 of the radix-partition fan-out ceiling; partitions cover
   /// contiguous code ranges so merged groups concatenate in code order.
@@ -60,22 +72,24 @@ struct Options {
 struct Stats {
   std::uint64_t local_hits = 0;     // rows absorbed by a local table
   std::uint64_t spilled_rows = 0;   // rows packed into radix partitions
-  std::uint64_t merge_entries = 0;  // per-slot partial entries folded
+  std::uint64_t merge_entries = 0;  // non-empty per-slot entries folded
   std::uint64_t partitions = 0;     // radix partitions merged
   std::uint64_t groups = 0;         // non-empty groups emitted
+  std::uint64_t record_bytes = 0;   // bytes per group record: 16 or 48
   bool hashed = false;              // open-addressed local tables (vs direct)
 };
 
-/// Per-group accumulator in the code domain. `rows` counts every
-/// filter-passing row of the group (group presence — a group whose agg
-/// values are all NULL still exists); `count`/`sum`/`min`/`max` cover only
-/// rows whose agg value is non-NULL, matching SQL aggregate semantics.
-struct Accumulator {
-  std::uint64_t rows = 0;
+/// One non-empty group in the code domain. A group exists when at least
+/// one filter-passing row carries its code, even if every agg value of
+/// those rows is NULL. `count` covers only rows whose agg value is
+/// non-NULL, matching SQL aggregate semantics. `value` depends on
+/// Options::kind: the code sum for COUNT/SUM/AVG (0 when agg_codes is
+/// unset), the least code for MIN, the greatest for MAX (meaningless when
+/// count is 0).
+struct Group {
+  std::uint64_t code = 0;
   std::uint64_t count = 0;
-  UInt128 sum = 0;
-  std::uint64_t min = ~std::uint64_t{0};
-  std::uint64_t max = 0;
+  UInt128 value = 0;
 };
 
 /// Reads the codes of rows [begin, begin + n) of one column into out[0, n).
@@ -126,13 +140,13 @@ struct Input {
 };
 
 /// Runs the single-pass operator on `ex` and returns the non-empty groups
-/// as (group code, accumulator) pairs in ascending code order. Scratch
-/// (local tables + merge accumulators) is metered through
+/// in ascending code order. Scratch (local tables, plus the merge's dense
+/// arrays when the tables are hashed) is metered through
 /// ex.AccountScratch; kResourceExhausted when the budget is exhausted,
 /// kCancelled / kDeadlineExceeded when `cancel` fires (both regions drain
 /// cleanly first), Internal when an armed groupby/{spill,merge} failpoint
 /// fires.
-StatusOr<std::vector<std::pair<std::uint64_t, Accumulator>>> Execute(
+StatusOr<std::vector<Group>> Execute(
     const Input& in, const Options& options, ParallelExecutor& ex,
     const CancelContext* cancel, Stats* stats);
 

@@ -74,6 +74,7 @@ struct QueryStats {
   std::uint64_t groupby_spilled_rows = 0;
   std::uint64_t groupby_merge_entries = 0;
   std::uint64_t groupby_partitions = 0;
+  std::uint64_t groupby_record_bytes = 0;
 
   // -- What ran. Static strings (tier names, layout names); never freed.
   const char* kernel_tier = "";

@@ -14,9 +14,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 
 #include "engine/engine.h"
 #include "engine/table.h"
+#include "obs/query_stats.h"
 #include "simd/dispatch.h"
 #include "util/bits.h"
 #include "util/random.h"
@@ -47,7 +50,10 @@ struct GroupedTable {
   std::vector<bool> agg_valid;  // empty = not nullable
 };
 
-GroupedTable MakeGroupedTable(std::uint64_t seed, int log2_cardinality) {
+// Agg codes are drawn `agg_width` bits wide, agg_width uniform in
+// [min_agg_width, max_agg_width].
+GroupedTable MakeGroupedTable(std::uint64_t seed, int log2_cardinality,
+                              int min_agg_width = 1, int max_agg_width = 13) {
   Random rng(seed);
   GroupedTable out;
   out.num_rows = 2000 + rng.UniformInt(0, 4000);
@@ -73,9 +79,14 @@ GroupedTable MakeGroupedTable(std::uint64_t seed, int log2_cardinality) {
     }
   }
 
-  const std::uint64_t agg_width = 1 + rng.UniformInt(0, 12);
-  const std::int64_t agg_min =
+  const std::uint64_t agg_width =
+      static_cast<std::uint64_t>(min_agg_width) +
+      rng.UniformInt(0, static_cast<std::uint64_t>(max_agg_width -
+                                                   min_agg_width));
+  std::int64_t agg_min =
       static_cast<std::int64_t>(rng.UniformInt(0, 2000)) - 1000;
+  // A 63-bit code above a positive minimum would overflow int64.
+  if (agg_width == 63) agg_min = std::min<std::int64_t>(agg_min, 0);
   out.agg_values.resize(out.num_rows);
   for (auto& v : out.agg_values) {
     v = agg_min + static_cast<std::int64_t>(
@@ -189,7 +200,7 @@ bool RowPassesFilter(const GroupedTable& t, const RandomGroupQuery& rq,
 struct OracleGroup {
   std::uint64_t rows = 0;   // group presence (incl. all-NULL-agg groups)
   std::uint64_t count = 0;  // non-NULL agg rows
-  std::int64_t sum = 0;
+  __int128 sum = 0;  // 63-bit values overflow an int64 sum
   std::int64_t min = std::numeric_limits<std::int64_t>::max();
   std::int64_t max = std::numeric_limits<std::int64_t>::min();
 };
@@ -237,9 +248,8 @@ void ExpectMatchesOracle(
         break;
       case AggKind::kSum: {
         const UInt128 want_code_sum = static_cast<UInt128>(
-            static_cast<std::uint64_t>(o.sum -
-                                       agg_min_value *
-                                           static_cast<std::int64_t>(o.count)));
+            o.sum - static_cast<__int128>(agg_min_value) *
+                        static_cast<__int128>(o.count));
         EXPECT_EQ(r.code_sum, want_code_sum) << gc.str();
         const double want_value =
             static_cast<double>(agg_min_value) *
@@ -250,9 +260,8 @@ void ExpectMatchesOracle(
       }
       case AggKind::kAvg: {
         const UInt128 want_code_sum = static_cast<UInt128>(
-            static_cast<std::uint64_t>(o.sum -
-                                       agg_min_value *
-                                           static_cast<std::int64_t>(o.count)));
+            o.sum - static_cast<__int128>(agg_min_value) *
+                        static_cast<__int128>(o.count));
         EXPECT_EQ(r.code_sum, want_code_sum) << gc.str();
         if (o.count > 0) {
           const double want_value =
@@ -340,6 +349,74 @@ std::vector<kern::Tier> CoveredTiers() {
   return tiers;
 }
 
+// Runs `rq` on `t` through both strategies on every tier in `tiers` at
+// each of `thread_counts`, on two agg layouts rotated with *case_index so
+// every (table, layout) pair appears across a sweep without multiplying
+// the full cross product into the runtime budget. Each result is checked
+// against the oracle and the strategies against each other. The
+// single-pass runs' group-record sizes are added to *record_bytes when it
+// is set.
+void CheckBothStrategies(const GroupedTable& t, const RandomGroupQuery& rq,
+                         const std::vector<kern::Tier>& tiers,
+                         std::initializer_list<int> thread_counts,
+                         const std::string& label, int* case_index,
+                         std::set<std::uint64_t>* record_bytes) {
+  const auto oracle = OracleGroups(t, rq);
+  const std::int64_t agg_column_min = AggMinValue(t);
+  for (const kern::Tier tier : tiers) {
+    kern::ForceTier(tier);
+    for (const int threads : thread_counts) {
+      for (int li = 0; li < 2; ++li) {
+        const char* column = kLayoutColumns[(*case_index + li) % 4];
+        const Query q = BuildQuery(rq, column);
+
+        std::vector<std::pair<std::int64_t, QueryResult>> per_strategy[2];
+        const std::uint64_t kThresholds[2] = {
+            std::numeric_limits<std::uint64_t>::max(), 1};  // naive, 1-pass
+        for (int si = 0; si < 2; ++si) {
+          obs::QueryStats stats;
+          ExecOptions options;
+          options.threads = threads;
+          options.groupby_threshold = kThresholds[si];
+          options.stats = &stats;
+          Engine engine(options);
+          auto result_or = engine.ExecuteGroupBy(t.table, q, "g");
+          std::ostringstream context;
+          context << label << " query{" << rq.description
+                  << "} layout=" << column
+                  << " tier=" << kern::TierName(tier)
+                  << " threads=" << threads
+                  << " strategy=" << (si == 0 ? "naive" : "single-pass")
+                  << " (replay with ICP_DIFF_SEED=" << BaseSeed() << ")";
+          ASSERT_TRUE(result_or.ok())
+              << context.str() << ": " << result_or.status().ToString();
+          ExpectMatchesOracle(*result_or, oracle, rq.agg, agg_column_min,
+                              context.str());
+          if (record_bytes != nullptr && si == 1 &&
+              stats.groupby_record_bytes != 0) {
+            record_bytes->insert(stats.groupby_record_bytes);
+          }
+          per_strategy[si] = *std::move(result_or);
+        }
+        std::ostringstream context;
+        context << label << " query{" << rq.description
+                << "} layout=" << column
+                << " tier=" << kern::TierName(tier)
+                << " threads=" << threads << " naive-vs-single-pass"
+                << " (replay with ICP_DIFF_SEED=" << BaseSeed() << ")";
+        ExpectSameGroups(per_strategy[1], per_strategy[0], context.str());
+      }
+      ++*case_index;
+    }
+    kern::ForceTier(std::nullopt);
+  }
+}
+
+std::string TableLabel(std::uint64_t seed, int log2_card) {
+  return "seed=" + std::to_string(seed) + " card=2^" +
+         std::to_string(log2_card);
+}
+
 TEST(GroupByDifferentialTest, StrategiesAgreeWithScalarOracle) {
   // Cardinality sweep 2^0..2^16; the small end stresses the naive
   // strategy and direct tables, the large end the open-addressed tables
@@ -355,59 +432,51 @@ TEST(GroupByDifferentialTest, StrategiesAgreeWithScalarOracle) {
         base_seed + static_cast<std::uint64_t>(1000 + log2_card);
     const GroupedTable t = MakeGroupedTable(seed, log2_card);
     Random qrng(seed ^ 0x9E3779B97F4A7C15ULL);
-    const std::int64_t agg_column_min = AggMinValue(t);
-
     for (int qi = 0; qi < 2; ++qi) {
-      const RandomGroupQuery rq = MakeRandomGroupQuery(qrng);
-      const auto oracle = OracleGroups(t, rq);
-
-      for (const kern::Tier tier : tiers) {
-        kern::ForceTier(tier);
-        for (const int threads : {1, 4, 8}) {
-          // Rotate layouts with the case index so every (cardinality,
-          // layout) pair appears across the sweep without multiplying
-          // the full cross product into the runtime budget.
-          for (int li = 0; li < 2; ++li) {
-            const char* column = kLayoutColumns[(case_index + li) % 4];
-            const Query q = BuildQuery(rq, column);
-
-            std::vector<std::pair<std::int64_t, QueryResult>> per_strategy[2];
-            const std::uint64_t kThresholds[2] = {
-                std::numeric_limits<std::uint64_t>::max(), 1};  // naive, 1-pass
-            for (int si = 0; si < 2; ++si) {
-              ExecOptions options;
-              options.threads = threads;
-              options.groupby_threshold = kThresholds[si];
-              Engine engine(options);
-              auto result_or = engine.ExecuteGroupBy(t.table, q, "g");
-              std::ostringstream context;
-              context << "seed=" << seed << " card=2^" << log2_card
-                      << " query{" << rq.description
-                      << "} layout=" << column
-                      << " tier=" << kern::TierName(tier)
-                      << " threads=" << threads
-                      << " strategy=" << (si == 0 ? "naive" : "single-pass")
-                      << " (replay with ICP_DIFF_SEED=" << base_seed << ")";
-              ASSERT_TRUE(result_or.ok())
-                  << context.str() << ": " << result_or.status().ToString();
-              ExpectMatchesOracle(*result_or, oracle, rq.agg, agg_column_min,
-                                  context.str());
-              per_strategy[si] = *std::move(result_or);
-            }
-            std::ostringstream context;
-            context << "seed=" << seed << " card=2^" << log2_card
-                    << " query{" << rq.description << "} layout=" << column
-                    << " tier=" << kern::TierName(tier)
-                    << " threads=" << threads << " naive-vs-single-pass"
-                    << " (replay with ICP_DIFF_SEED=" << base_seed << ")";
-            ExpectSameGroups(per_strategy[1], per_strategy[0], context.str());
-          }
-          ++case_index;
-        }
-        kern::ForceTier(std::nullopt);
-      }
+      ASSERT_NO_FATAL_FAILURE(CheckBothStrategies(
+          t, MakeRandomGroupQuery(qrng), tiers, {1, 4, 8},
+          TableLabel(seed, log2_card), &case_index, nullptr));
     }
   }
+}
+
+// Agg codes of 50..63 bits. Code-domain sums pass 64 bits once agg_bits +
+// BitsFor(passing rows) > 64, so SUM/AVG must keep the 48-byte record and
+// its 128-bit sum there; below that, and for COUNT/MIN/MAX, the 16-byte
+// record serves wherever no passing agg value is NULL. Every aggregate
+// runs unfiltered (every row passes, so the wider tables overflow 64-bit
+// sums), plus one random query per table.
+TEST(GroupByDifferentialTest, WideAggCodesMatchScalarOracle) {
+  const int kLog2Cards[] = {1, 4, 8, 12};
+  const int kAggWidths[][2] = {{50, 53}, {54, 57}, {58, 61}, {62, 63}};
+  static const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum,
+                                  AggKind::kAvg, AggKind::kMin,
+                                  AggKind::kMax};
+  const std::vector<kern::Tier> tiers = CoveredTiers();
+  const std::uint64_t base_seed = BaseSeed();
+
+  int case_index = 0;
+  std::set<std::uint64_t> record_bytes;
+  for (std::size_t i = 0; i < std::size(kLog2Cards); ++i) {
+    const std::uint64_t seed = base_seed + 3000 + i;
+    const GroupedTable t = MakeGroupedTable(
+        seed, kLog2Cards[i], kAggWidths[i][0], kAggWidths[i][1]);
+    Random qrng(seed ^ 0x9E3779B97F4A7C15ULL);
+    std::vector<RandomGroupQuery> queries = {MakeRandomGroupQuery(qrng)};
+    for (const AggKind agg : kAggs) {
+      RandomGroupQuery& q = queries.emplace_back();
+      q.agg = agg;
+      q.description =
+          "agg=" + std::to_string(static_cast<int>(agg)) + " filter=none";
+    }
+    for (const RandomGroupQuery& rq : queries) {
+      ASSERT_NO_FATAL_FAILURE(CheckBothStrategies(
+          t, rq, tiers, {1, 4}, TableLabel(seed, kLog2Cards[i]), &case_index,
+          &record_bytes));
+    }
+  }
+  EXPECT_EQ(record_bytes.count(16), 1u) << "no run used the 16-byte record";
+  EXPECT_EQ(record_bytes.count(48), 1u) << "no run used the 48-byte record";
 }
 
 // Tiny local-table budgets force every row through the radix spill; the

@@ -11,6 +11,7 @@
 //     budget;
 //   * EXPLAIN ANALYZE carries the groupby: line.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -113,7 +114,7 @@ TEST(GroupBySpillTest, LocalTableModeFollowsBudget) {
   const Fixture f = MakeFixture(8000, 4096);
   Query q = SumQuery();
 
-  // Dictionary (4096 x 48B accumulators) far exceeds 4 KiB: open-addressed.
+  // Dictionary (4096 x 16-byte records) far exceeds 4 KiB: open-addressed.
   obs::QueryStats hash_stats;
   ExecOptions hash_opts;
   hash_opts.groupby_threshold = 1;
@@ -131,6 +132,51 @@ TEST(GroupBySpillTest, LocalTableModeFollowsBudget) {
   Engine direct_engine(direct_opts);
   ASSERT_TRUE(direct_engine.ExecuteGroupBy(f.table, q, "g").ok());
   EXPECT_STREQ(direct_stats.agg_path, "groupby-direct");
+  EXPECT_EQ(direct_stats.groupby_record_bytes, 16u);
+
+  // A SUM over a non-nullable agg column folds into 16-byte records, so a
+  // 2^16-code dictionary is exactly the default 1 MiB and goes direct: no
+  // row probes a full hash table, none spills.
+  constexpr std::uint64_t kCodes = std::uint64_t{1} << 16;
+  const std::size_t num_rows = 2 * kCodes;
+  Random rng(7);
+  std::vector<std::int64_t> groups(num_rows);
+  std::vector<std::int64_t> values(num_rows);
+  std::vector<std::uint64_t> want_sums(kCodes, 0);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    groups[i] = 10 * static_cast<std::int64_t>(i % kCodes);
+    values[i] = static_cast<std::int64_t>(rng.UniformInt(0, 99));
+    want_sums[i % kCodes] += static_cast<std::uint64_t>(values[i]);
+  }
+  Table table;
+  ASSERT_TRUE(table
+                  .AddColumn("g", groups,
+                             {.layout = Layout::kVbp, .dictionary = true})
+                  .ok());
+  ASSERT_TRUE(table.AddColumn("v", values, {.layout = Layout::kVbp}).ok());
+
+  obs::QueryStats big_stats;
+  ExecOptions big_opts;
+  big_opts.threads = 4;
+  big_opts.stats = &big_stats;
+  Engine big_engine(big_opts);
+  auto got_or = big_engine.ExecuteGroupBy(table, q, "g");
+  ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
+  EXPECT_STREQ(big_stats.agg_path, "groupby-direct");
+  EXPECT_EQ(big_stats.groupby_record_bytes, 16u);
+  EXPECT_EQ(big_stats.groupby_spilled_rows, 0u);
+  EXPECT_EQ(big_stats.groupby_local_hits, num_rows);
+
+  ASSERT_EQ(got_or->size(), kCodes);
+  const std::int64_t min_value =
+      *std::min_element(values.begin(), values.end());
+  for (std::uint64_t c = 0; c < kCodes; ++c) {
+    const auto& [group, r] = (*got_or)[c];
+    ASSERT_EQ(group, 10 * static_cast<std::int64_t>(c));
+    EXPECT_EQ(r.count, 2u);
+    EXPECT_EQ(r.code_sum,
+              want_sums[c] - 2 * static_cast<std::uint64_t>(min_value));
+  }
 }
 
 // -- Cancellation / deadline drains ----------------------------------------

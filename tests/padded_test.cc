@@ -111,6 +111,13 @@ TEST(PaddedAggregateTest, WideSumDraining) {
   FilterBitVector f(codes.size(), kWordBits);
   f.SetAll();
   EXPECT_TRUE(padded::Sum(col, f) == UInt128{200000} * 255);
+
+  // 64-bit elements wrap the partial within one segment.
+  const std::vector<std::uint64_t> wide(1000, LowMask(63));
+  const PaddedColumn wide_col = PaddedColumn::Pack(wide, 63);
+  FilterBitVector wide_f(wide.size(), kWordBits);
+  wide_f.SetAll();
+  EXPECT_TRUE(padded::Sum(wide_col, wide_f) == UInt128{1000} * LowMask(63));
 }
 
 TEST(PaddedEngineTest, EndToEnd) {
