@@ -4,7 +4,9 @@
 // naive per-code scan loop and the single-pass operator (src/groupby/) —
 // over a dictionary group column at cardinalities 2^g for g in 0..24, on a
 // 1-thread and a 4-thread engine (the single-pass operator's slots only
-// contend with each other at more than one thread).
+// contend with each other at more than one thread), unfiltered and with a
+// filter passing 10% of the rows (`permille` 1000 and 100; the single-pass
+// operator reads only the passing rows of each 64-row segment).
 // The recorded series (BENCH_groupby.json, via tools/parse_bench.py
 // --kernel-json) is the measurement behind ExecOptions::groupby_threshold's
 // default: the crossover where the single-pass operator starts winning.
@@ -47,10 +49,13 @@ bool RequireTier(benchmark::State& state, kern::Tier tier) {
   return false;
 }
 
-// A dictionary group column of 2^g uniform codes plus a 7-bit aggregate
-// column. Tables at n = 2^24 run to hundreds of MB, so only the most
+// A dictionary group column of 2^g uniform codes, a 7-bit aggregate
+// column and a filter column z uniform in [0, 1000). Tables at n = 2^24
+// run to hundreds of MB, so only the most
 // recent cardinality is kept alive; the benchmark args are ordered
 // g-major so each table is built once per strategy sweep.
+constexpr std::int64_t kPermille = 1000;
+
 struct Workload {
   std::size_t n = 0;
   int g = -1;
@@ -65,9 +70,11 @@ const Workload& GetWorkload(int g) {
   const std::uint64_t cardinality = std::uint64_t{1} << g;
   std::vector<std::int64_t> groups(n);
   std::vector<std::int64_t> values(n);
+  std::vector<std::int64_t> z(n);
   for (std::size_t i = 0; i < n; ++i) {
     groups[i] = static_cast<std::int64_t>(rng.UniformInt(0, cardinality - 1));
     values[i] = static_cast<std::int64_t>(rng.UniformInt(0, 99));
+    z[i] = static_cast<std::int64_t>(rng.UniformInt(0, kPermille - 1));
   }
   w = Workload{};
   w.n = n;
@@ -78,6 +85,7 @@ const Workload& GetWorkload(int g) {
                 .ok());
   ICP_CHECK(
       w.table.AddColumn("v", values, {.layout = Layout::kVbp}).ok());
+  ICP_CHECK(w.table.AddColumn("z", z, {.layout = Layout::kVbp}).ok());
   return w;
 }
 
@@ -87,9 +95,13 @@ void RunGroupBy(benchmark::State& state, std::uint64_t threshold) {
   const int g = static_cast<int>(state.range(1));
   const Workload& w = GetWorkload(g);
 
+  const std::int64_t permille = state.range(3);
   Query q;
   q.agg = AggKind::kSum;
   q.agg_column = "v";
+  if (permille < kPermille) {
+    q.filter = FilterExpr::Compare("z", CompareOp::kLt, permille);
+  }
   ExecOptions opts;
   opts.threads = static_cast<int>(state.range(2));
   opts.groupby_threshold = threshold;
@@ -112,12 +124,16 @@ void RunGroupBy(benchmark::State& state, std::uint64_t threshold) {
 
 // Arguments g-major, so each table is built once per strategy sweep.
 void GroupByArgs(benchmark::internal::Benchmark* b, int max_g,
-                 std::initializer_list<int> threads) {
-  b->ArgNames({"tier", "g", "threads"});
+                 std::initializer_list<int> tiers,
+                 std::initializer_list<int> threads,
+                 std::initializer_list<int> permilles) {
+  b->ArgNames({"tier", "g", "threads", "permille"});
   for (const int g : {0, 2, 4, 8, 12, 16, 20, 24}) {
     if (g > max_g) break;
-    for (const int tier : {0, 2}) {
-      for (const int t : threads) b->Args({tier, g, t});
+    for (const int tier : tiers) {
+      for (const int t : threads) {
+        for (const int p : permilles) b->Args({tier, g, t, p});
+      }
     }
   }
 }
@@ -128,7 +144,7 @@ void BM_GroupBySinglePass(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupBySinglePass)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      GroupByArgs(b, 24, {1, 4});
+      GroupByArgs(b, 24, {0, 2, 3}, {1, 4}, {1000, 100});
     })
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -139,7 +155,7 @@ void BM_GroupByNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByNaive)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      GroupByArgs(b, 12, {1});
+      GroupByArgs(b, 12, {0, 2}, {1}, {1000});
     })
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/hbp_aggregate.h"
 #include "core/in_word_sum.h"
 #include "core/vbp_aggregate.h"
+#include "layout/vbp_column.h"
 #include "simd/dispatch.h"
 #include "simd/hbp_simd.h"
 #include "simd/vbp_simd.h"
@@ -554,6 +556,66 @@ void BM_VbpUnpackTier(benchmark::State& state) {
                  (tier_arg < 0 ? "reference" : kern::OpsFor(tier).name));
 }
 BENCHMARK(BM_VbpUnpackTier)->Apply(PackArgs);
+
+// VBP select (group-by's read of the rows that pass): per segment of a
+// tau = 4 column, the codes of `rows` random rows, read from the bit-group
+// words in place. unpack = 1 is the comparison row: what the pass did
+// before the slot existed, a copy of the segment's planes, the vbp_unpack
+// transpose and a walk over the mask. Items are segments.
+// exercises: vbp_select
+void BM_VbpSelectTier(benchmark::State& state) {
+  const auto tier = static_cast<kern::Tier>(state.range(0));
+  if (!RequireTier(state, tier)) return;
+  const int k = static_cast<int>(state.range(1));
+  const int rows = static_cast<int>(state.range(2));
+  const bool unpack = state.range(3) != 0;
+  constexpr std::size_t kSegments = std::size_t{1} << 14;
+  const VbpColumn col =
+      VbpColumn::Pack(UniformCodes(kSegments * kWordBits, k, 11), k);
+  Random rng(static_cast<std::uint64_t>(k * 100 + rows));
+  std::vector<Word> masks(kSegments);
+  for (Word& m : masks) {
+    m = 0;
+    while (std::popcount(m) < rows) {
+      m |= Word{1} << rng.UniformInt(0, kWordBits - 1);
+    }
+  }
+  const kern::KernelOps& ops = kern::OpsFor(tier);
+  const int groups = col.num_groups();
+  std::uint64_t out[kWordBits];
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    const Word* planes[kWordBits];
+    for (int g = 0; g < groups; ++g) planes[g] = col.GroupData(g);
+    for (std::size_t seg = 0; seg < kSegments; ++seg) {
+      std::size_t n = 0;
+      if (unpack) {
+        Word copy[kWordBits];
+        for (int g = 0, j = 0; g < groups; ++g) {
+          for (int t = 0; t < col.GroupWidth(g); ++t) copy[j++] = planes[g][t];
+        }
+        std::uint64_t codes[kWordBits];
+        ops.vbp_unpack(copy, k, codes);
+        for (Word m = masks[seg]; m != 0; ++n) {
+          const int bit = std::countl_zero(m);
+          m &= ~(Word{1} << (kWordBits - 1 - bit));
+          out[n] = codes[bit];
+        }
+      } else {
+        n = ops.vbp_select(planes, col.tau(), k, masks[seg], out);
+      }
+      sink += n != 0 ? out[n - 1] : 0;
+      for (int g = 0; g < groups; ++g) planes[g] += col.GroupWidth(g);
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSegments));
+  state.SetLabel(std::string("tier=") + ops.name);
+}
+BENCHMARK(BM_VbpSelectTier)
+    ->ArgNames({"tier", "k", "rows", "unpack"})
+    ->ArgsProduct({{0, 1, 2, 3}, {4, 16, 20}, {1, 6, 38, 64}, {0, 1}});
 
 // Filter combine (AND) over the full filter, per tier.
 // exercises: combine_words

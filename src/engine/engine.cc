@@ -659,6 +659,82 @@ bool SupportsSinglePassGroupBy(AggKind kind) {
   return false;
 }
 
+// Builds ExecuteGroupBy's result straight from the single-pass
+// operator's groups: the result is sized once, then every partition's
+// slice is converted on the executor slot that hands it over, so no
+// serial copy follows the merge. A group's agg_cycles is the operator's
+// pass and merge, the time up to the Resize call.
+class GroupResultSink final : public groupby::GroupSink {
+ public:
+  GroupResultSink(AggKind kind, const ColumnEncoder& group_encoder,
+                  const ColumnEncoder& agg_encoder, std::uint64_t scan_cycles,
+                  const obs::StageTimer& timer,
+                  std::vector<std::pair<std::int64_t, QueryResult>>* out)
+      : kind_(kind),
+        group_encoder_(group_encoder),
+        agg_encoder_(agg_encoder),
+        scan_cycles_(scan_cycles),
+        timer_(timer),
+        out_(out) {}
+
+  void Resize(std::size_t groups) override {
+    agg_cycles_ = timer_.ElapsedCycles();
+    out_->resize(groups);
+  }
+
+  void Fill(std::size_t first, const groupby::Group* groups,
+            std::size_t n) override {
+    const double min_value = static_cast<double>(agg_encoder_.min_value());
+    for (std::size_t i = 0; i < n; ++i) {
+      const groupby::Group& g = groups[i];
+      auto& [group_value, r] = (*out_)[first + i];
+      group_value = group_encoder_.Decode(g.code);
+      r.kind = kind_;
+      r.count = g.count;
+      r.scan_cycles = scan_cycles_;
+      r.agg_cycles = agg_cycles_;
+      switch (kind_) {
+        case AggKind::kCount:
+          r.value = static_cast<double>(g.count);
+          break;
+        case AggKind::kSum:
+          r.code_sum = g.value;
+          r.value = min_value * static_cast<double>(g.count) +
+                    UInt128ToDouble(g.value);
+          break;
+        case AggKind::kAvg:
+          r.code_sum = g.value;
+          if (g.count > 0) {
+            r.value = min_value +
+                      UInt128ToDouble(g.value) / static_cast<double>(g.count);
+          }
+          break;
+        case AggKind::kMin:
+        case AggKind::kMax:
+          if (g.count > 0) {
+            const auto v = static_cast<std::uint64_t>(g.value);
+            r.code_value = v;
+            r.decoded_value = agg_encoder_.Decode(v);
+            r.value = static_cast<double>(*r.decoded_value);
+          }
+          break;
+        case AggKind::kMedian:
+        case AggKind::kRank:
+          break;  // never single-pass (SupportsSinglePassGroupBy)
+      }
+    }
+  }
+
+ private:
+  const AggKind kind_;
+  const ColumnEncoder& group_encoder_;
+  const ColumnEncoder& agg_encoder_;
+  const std::uint64_t scan_cycles_;
+  const obs::StageTimer& timer_;
+  std::vector<std::pair<std::int64_t, QueryResult>>* const out_;
+  std::uint64_t agg_cycles_ = 0;
+};
+
 // Default cardinality at which ExecuteGroupBy switches from the naive
 // per-code strategy to the single-pass operator. bench_groupby measured
 // no crossover: the single-pass operator wins at every cardinality from
@@ -815,10 +891,10 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
   }
 
   groupby::Input in;
-  in.group_codes = groupby::CodeReader::Of(group);
+  in.group_codes = groupby::CodeSource::Of(group);
   in.num_codes = group.encoder().num_codes();
   if (query.agg != AggKind::kCount) {
-    in.agg_codes = groupby::CodeReader::Of(agg);
+    in.agg_codes = groupby::CodeSource::Of(agg);
     in.agg_bits = agg.bit_width();
   }
   in.filter = group.nullable() ? &masked : &base;
@@ -831,60 +907,26 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
                                 ? options_.groupby_local_bytes
                                 : std::size_t{1} << 20;
 
-  groupby::Stats gstats;
+  if (!SupportsSinglePassGroupBy(query.agg)) {
+    return Status::Internal("aggregate not supported single-pass");
+  }
+  std::vector<std::pair<std::int64_t, QueryResult>> results;
   const obs::StageTimer agg_timer;
-  auto groups_or = [&] {
+  GroupResultSink sink(query.agg, group.encoder(), agg.encoder(),
+                       scan_cycles, agg_timer, &results);
+  groupby::Stats gstats;
+  const Status status = [&] {
     if (session_ != nullptr) {
-      return groupby::Execute(in, gopts, *session_, &cancel, &gstats);
+      return groupby::Execute(in, gopts, *session_, &cancel, &gstats, sink);
     }
     StaticPoolExecutor ex(*pool_);
-    return groupby::Execute(in, gopts, ex, &cancel, &gstats);
+    return groupby::Execute(in, gopts, ex, &cancel, &gstats, sink);
   }();
+  // The aggregate stage covers the pass, the merge and the result build.
   const std::uint64_t agg_cycles = agg_timer.ElapsedCycles();
   ICP_RETURN_IF_ERROR(CheckPool());
   ICP_RETURN_IF_ERROR(CheckSession());
-  ICP_RETURN_IF_ERROR(groups_or.status());
-
-  const ColumnEncoder& encoder = agg.encoder();
-  std::vector<std::pair<std::int64_t, QueryResult>> results;
-  results.reserve(groups_or->size());
-  for (const groupby::Group& g : *groups_or) {
-    QueryResult r;
-    r.kind = query.agg;
-    r.count = g.count;
-    r.scan_cycles = scan_cycles;
-    r.agg_cycles = agg_cycles;
-    switch (query.agg) {
-      case AggKind::kCount:
-        r.value = static_cast<double>(g.count);
-        break;
-      case AggKind::kSum:
-        r.code_sum = g.value;
-        r.value = static_cast<double>(encoder.min_value()) *
-                      static_cast<double>(g.count) +
-                  UInt128ToDouble(g.value);
-        break;
-      case AggKind::kAvg:
-        r.code_sum = g.value;
-        if (g.count > 0) {
-          r.value = static_cast<double>(encoder.min_value()) +
-                    UInt128ToDouble(g.value) / static_cast<double>(g.count);
-        }
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        if (g.count > 0) {
-          const auto v = static_cast<std::uint64_t>(g.value);
-          r.code_value = v;
-          r.decoded_value = encoder.Decode(v);
-          r.value = static_cast<double>(*r.decoded_value);
-        }
-        break;
-      default:
-        return Status::Internal("aggregate not supported single-pass");
-    }
-    results.emplace_back(group.encoder().Decode(g.code), std::move(r));
-  }
+  ICP_RETURN_IF_ERROR(status);
 
   if (qs != nullptr) {
     qs->agg_cycles += agg_cycles;

@@ -10,11 +10,13 @@
 // segment at a time (AddColumn encodes values as the packer asks for them;
 // io::ReadTable hands AddCodedColumn the codes it unpacks from the file's
 // k-bit stream), so no full-column array of plain codes is ever built.
-// Readers that need plain codes back — group-by and serialization — call
-// Column::DecodeCodes, which reconstructs them a segment at a time from the
-// packing. The lanes == 4 SIMD packing of a column is built lazily, by
-// interleaving the words of the lanes == 1 packing, the first time a SIMD
-// execution needs it.
+// Readers that need plain codes back — serialization, and group-by over
+// columns that are not VBP — call Column::DecodeCodes, which reconstructs
+// them a segment at a time from the packing; group-by reads a VBP column's
+// passing rows straight from its planes (groupby::CodeSource). The
+// lanes == 4 SIMD packing of a column is built lazily, by interleaving the
+// words of the lanes == 1 packing, the first time a SIMD execution needs
+// it.
 
 #ifndef ICP_ENGINE_TABLE_H_
 #define ICP_ENGINE_TABLE_H_

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <vector>
 
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -109,6 +110,7 @@ static_assert(sizeof(WideRecord) == 48);
 // What Execute works out once from its input; every pass reads it.
 struct Plan {
   const Input* in = nullptr;
+  const kern::KernelOps* ops = nullptr;
   AggKind kind = AggKind::kCount;
   const Word* fwords = nullptr;
   const Word* vwords = nullptr;  // null: no passing agg value is NULL
@@ -165,13 +167,77 @@ struct Partial {
   Record record;
 };
 
+// One column's read position in a slot's subrange of segments. Select
+// writes the codes of the rows set in the current segment's filter word,
+// in row order, to out (room for 64) and returns how many; Next moves to
+// the following segment. A VBP column is read in place through the
+// vbp_select slot, one plane pointer per bit-group; any other column is
+// decoded a segment at a time and compacted to the rows that pass.
+class ColumnCursor {
+ public:
+  ColumnCursor(const CodeSource& source, const kern::KernelOps& ops,
+               std::size_t seg, std::size_t num_rows)
+      : source_(source),
+        select_(ops.vbp_select),
+        row0_(seg * kWordBits),
+        num_rows_(num_rows) {
+    if (source.vbp == nullptr) return;
+    const VbpColumn& col = *source.vbp;
+    tau_ = col.tau();
+    k_ = col.bit_width();
+    groups_ = col.num_groups();
+    for (int g = 0; g < groups_; ++g) {
+      widths_[g] = col.GroupWidth(g);
+      planes_[g] =
+          col.GroupData(g) + seg * static_cast<std::size_t>(widths_[g]);
+    }
+  }
+
+  std::size_t Select(Word mask, std::uint64_t* out) const {
+    if (source_.vbp != nullptr) return select_(planes_, tau_, k_, mask, out);
+    const std::size_t rows =
+        std::min<std::size_t>(kWordBits, num_rows_ - row0_);
+    source_.decode(source_.column, row0_, rows, out);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      out[n] = out[i];
+      n += (mask >> (kWordBits - 1 - i)) & 1;
+    }
+    return n;
+  }
+
+  void Next() {
+    row0_ += kWordBits;
+    for (int g = 0; g < groups_; ++g) planes_[g] += widths_[g];
+  }
+
+ private:
+  const CodeSource& source_;
+  std::size_t (*select_)(const Word* const*, int, int, Word, std::uint64_t*);
+  std::size_t row0_;
+  std::size_t num_rows_;
+  int tau_ = 0;
+  int k_ = 0;
+  int groups_ = 0;
+  const Word* planes_[kWordBits] = {};
+  int widths_[kWordBits] = {};
+};
+
+// Groups handed to the sink per Fill call.
+constexpr std::size_t kFillBatch = 256;
+
+// Record copies per group, and the largest table that gets them: small
+// enough to stay in L1 and to fold together serially before the merge.
+constexpr std::size_t kCopies = 8;
+constexpr std::size_t kCopiesMaxBytes = std::size_t{16} << 10;
+
 template <typename Record>
-StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
-                                 ParallelExecutor& ex,
-                                 const CancelContext* cancel, Stats* stats) {
+Status Run(const Plan& plan, const Options& options, ParallelExecutor& ex,
+           const CancelContext* cancel, Stats* stats, GroupSink& sink) {
   const Input& in = *plan.in;
   const int shift = plan.shift;
   const int agg_bits = plan.agg_bits;
+  const kern::KernelOps& ops = *plan.ops;
 
   // Local-table mode from the per-slot budget: direct-indexed when the
   // whole dictionary fits, open-addressed otherwise, pure spill when not
@@ -185,8 +251,17 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
     while (cap * 2 * kEntryBytes <= budget) cap *= 2;
     if (cap * kEntryBytes <= budget) capacity = cap;
   }
+  // A dictionary small enough folds row i of a segment into copy
+  // i % kCopies of its group's record: back-to-back rows of one group
+  // then update different records instead of waiting on each other's
+  // stores. The copies are folded together before the merge.
+  const std::size_t copies =
+      direct && in.num_codes * sizeof(Record) * kCopies <=
+                    std::min(budget, kCopiesMaxBytes)
+          ? kCopies
+          : 1;
   const std::size_t table_bytes =
-      direct ? in.num_codes * sizeof(Record) : capacity * kEntryBytes;
+      direct ? in.num_codes * sizeof(Record) * copies : capacity * kEntryBytes;
 
   const int slots = ex.max_slots();
   ICP_CHECK_GE(slots, 1);
@@ -217,7 +292,7 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
           if (!st.ready) {
             st.ready = true;
             if (direct) {
-              st.records.resize(in.num_codes);
+              st.records.resize(in.num_codes * copies);
             } else {
               st.keys.assign(capacity, kEmptyKey);
               st.records.resize(capacity);
@@ -227,38 +302,46 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
           Record* const table = st.records.data();
           std::uint64_t hits = 0;
           std::uint64_t spilled = 0;
+          ColumnCursor group(in.group_codes, ops, begin, in.num_rows);
+          ColumnCursor agg(in.agg_codes, ops, begin, in.num_rows);
+          const bool has_agg = in.agg_codes.present();
           std::uint64_t group_buf[kWordBits];
           std::uint64_t agg_buf[kWordBits] = {};
+          // Per selected row: nonzero when its agg value is non-NULL.
+          std::uint64_t valid_buf[kWordBits];
+          std::fill_n(valid_buf, kWordBits, 1);
           // cancellation: exempt — the executor polls the context
           // between subranges (per morsel / per cancel batch); one
           // subrange is the cancellation granularity of this pass.
-          for (std::size_t seg = begin; seg < end; ++seg) {
-            Word w = plan.fwords[seg];
+          for (std::size_t seg = begin; seg < end;
+               ++seg, group.Next(), agg.Next()) {
+            const Word w = plan.fwords[seg];
             if (w == 0) continue;  // dead 64-row segment: no per-row work
-            const Word vw =
-                plan.vwords != nullptr ? plan.vwords[seg] : ~Word{0};
-            const std::size_t row0 = seg * kWordBits;
-            const std::size_t rows =
-                std::min<std::size_t>(kWordBits, in.num_rows - row0);
-            in.group_codes.Read(row0, rows, group_buf);
-            if (in.agg_codes.present()) in.agg_codes.Read(row0, rows, agg_buf);
+            const std::size_t n = group.Select(w, group_buf);
+            if (has_agg) agg.Select(w, agg_buf);
+            if (plan.vwords != nullptr) {
+              // The validity word is a one-plane VBP segment.
+              const Word* const validity = plan.vwords + seg;
+              ops.vbp_select(&validity, 1, 1, w, valid_buf);
+            }
             if (direct) {
-              hits += static_cast<std::uint64_t>(std::popcount(w));
-              while (w != 0) {
-                const int bit = std::countl_zero(w);
-                w &= ~(Word{1} << (kWordBits - 1 - bit));
-                table[group_buf[bit]].Fold(
-                    agg_buf[bit], ((vw >> (kWordBits - 1 - bit)) & 1) != 0);
+              hits += n;
+              if (copies == 1) {
+                for (std::size_t i = 0; i < n; ++i) {
+                  table[group_buf[i]].Fold(agg_buf[i], valid_buf[i] != 0);
+                }
+              } else {
+                for (std::size_t i = 0; i < n; ++i) {
+                  table[group_buf[i] * kCopies + i % kCopies].Fold(
+                      agg_buf[i], valid_buf[i] != 0);
+                }
               }
               continue;
             }
-            while (w != 0) {
-              const int bit = std::countl_zero(w);
-              w &= ~(Word{1} << (kWordBits - 1 - bit));
-              const std::uint64_t g = group_buf[bit];
-              const bool valid =
-                  ((vw >> (kWordBits - 1 - bit)) & Word{1}) != 0;
-              const std::uint64_t a = agg_buf[bit];
+            for (std::size_t i = 0; i < n; ++i) {
+              const std::uint64_t g = group_buf[i];
+              const bool valid = valid_buf[i] != 0;
+              const std::uint64_t a = agg_buf[i];
               if (Record* r = Probe(st, g); r != nullptr) {
                 r->Fold(a, valid);
                 ++hits;
@@ -294,17 +377,33 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
   // Direct tables merge in place: each partition folds every other
   // slot's records over its code range into the first ready slot's.
   // Hashed tables are drained into per-partition partial lists so the
-  // merge region never probes a foreign hash table.
+  // merge region never probes a foreign hash table, and each partition
+  // merges into a dense array of its own.
   std::vector<Record*> tables;
   for (LocalState<Record>& st : locals) {
-    if (direct && st.ready) tables.push_back(st.records.data());
+    if (!direct || !st.ready) continue;
+    Record* const t = st.records.data();
+    if (copies != 1) {
+      // In place: record c only reads records at c * kCopies and up.
+      for (std::size_t c = 0; c < in.num_codes; ++c) {
+        Record r = t[c * kCopies];
+        for (std::size_t j = 1; j < kCopies; ++j) r.Merge(t[c * kCopies + j]);
+        t[c] = r;
+      }
+    }
+    tables.push_back(t);
   }
   // No slot ran (the executor dropped the region): nothing to merge.
-  if (direct && tables.empty()) return std::vector<Group>{};
+  if (direct && tables.empty()) {
+    sink.Resize(0);
+    return Status::Ok();
+  }
   std::vector<std::vector<Partial<Record>>> partials;
+  std::vector<std::vector<Record>> dense;
   std::uint64_t merge_entries = 0;
   if (!direct) {
     partials.resize(plan.num_partitions);
+    dense.resize(plan.num_partitions);
     for (const LocalState<Record>& st : locals) {
       for (std::size_t i = 0; i < st.keys.size(); ++i) {
         if (st.keys[i] == kEmptyKey) continue;
@@ -314,8 +413,19 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
       }
     }
   }
+  // Partition p's merged records, code lo(p) first.
+  const auto merged = [&](std::size_t p) -> Record* {
+    return direct ? tables.front() + (static_cast<std::uint64_t>(p) << shift)
+                  : dense[p].data();
+  };
+  const auto range = [&](std::size_t p) {
+    const std::uint64_t lo = static_cast<std::uint64_t>(p) << shift;
+    const std::uint64_t hi = std::min<std::uint64_t>(
+        in.num_codes, lo + (std::uint64_t{1} << shift));
+    return static_cast<std::size_t>(hi - lo);
+  };
 
-  std::vector<std::vector<Group>> out_parts(plan.num_partitions);
+  std::vector<std::size_t> part_groups(plan.num_partitions, 0);
   std::vector<std::uint64_t> part_entries(plan.num_partitions, 0);
   const std::uint64_t agg_mask = LowMask(agg_bits);
   {
@@ -323,7 +433,6 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
     ex.ParallelFor(
         plan.num_partitions, cancel,
         [&](int, std::size_t begin, std::size_t end) {
-          std::vector<Record> dense;
           for (std::size_t p = begin; p < end; ++p) {
             // order: relaxed — first-injection latch; read post-barrier.
             if (injected.load(std::memory_order_relaxed) != kNone) return;
@@ -334,15 +443,12 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
               return;
             }
             const std::uint64_t lo = static_cast<std::uint64_t>(p) << shift;
-            const std::uint64_t hi = std::min<std::uint64_t>(
-                in.num_codes, lo + (std::uint64_t{1} << shift));
-            const std::size_t n = static_cast<std::size_t>(hi - lo);
-            Record* into = nullptr;
+            const std::size_t n = range(p);
             std::uint64_t entries = 0;
             if (direct) {
               // Safe to write: partitions own disjoint code ranges, and
               // the pass region's barrier ordered every slot's writes.
-              into = tables.front() + lo;
+              Record* into = merged(p);
               for (std::size_t i = 0; i < n; ++i) {
                 entries += into[i].rows != 0 ? 1 : 0;
               }
@@ -354,8 +460,8 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
                 }
               }
             } else {
-              dense.assign(n, Record{});
-              into = dense.data();
+              dense[p].assign(n, Record{});
+              Record* into = dense[p].data();
               for (const Partial<Record>& pt : partials[p]) {
                 into[pt.code - lo].Merge(pt.record);
               }
@@ -376,12 +482,12 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
               }
             }
             part_entries[p] = entries;
-            std::vector<Group>& out = out_parts[p];
+            const Record* rec = merged(p);
+            std::size_t groups = 0;
             for (std::size_t i = 0; i < n; ++i) {
-              if (into[i].rows != 0) {
-                out.push_back(into[i].ToGroup(lo + i, plan.kind));
-              }
+              groups += rec[i].rows != 0 ? 1 : 0;
             }
+            part_groups[p] = groups;
           }
         });
   }
@@ -392,13 +498,44 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
     return Status::Internal("injected group-by merge failure");
   }
 
-  std::vector<Group> results;
+  // The hand-off: each partition's groups land at their place in the
+  // caller's result, sized once here.
+  std::vector<std::size_t> first(plan.num_partitions, 0);
   std::size_t total_groups = 0;
-  for (const auto& part : out_parts) total_groups += part.size();
-  results.reserve(total_groups);
-  for (const auto& part : out_parts) {
-    results.insert(results.end(), part.begin(), part.end());
+  // cancellation: exempt — a prefix sum over the partitions' group
+  // counts, one add per partition.
+  for (std::size_t p = 0; p < plan.num_partitions; ++p) {
+    first[p] = total_groups;
+    total_groups += part_groups[p];
   }
+  sink.Resize(total_groups);
+  {
+    ICP_OBS_TRACE_SPAN("groupby.fill", 0);
+    ex.ParallelFor(
+        plan.num_partitions, cancel,
+        [&](int, std::size_t begin, std::size_t end) {
+          Group batch[kFillBatch];
+          for (std::size_t p = begin; p < end; ++p) {
+            if (cancel != nullptr && cancel->ShouldStop()) return;
+            const std::uint64_t lo = static_cast<std::uint64_t>(p) << shift;
+            const Record* rec = merged(p);
+            const std::size_t n = range(p);
+            std::size_t at = first[p];
+            std::size_t m = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (rec[i].rows == 0) continue;
+              batch[m++] = rec[i].ToGroup(lo + i, plan.kind);
+              if (m == kFillBatch) {
+                sink.Fill(at, batch, m);
+                at += m;
+                m = 0;
+              }
+            }
+            if (m != 0) sink.Fill(at, batch, m);
+          }
+        });
+  }
+  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
 
   std::uint64_t local_hits = 0;
   std::uint64_t spilled_rows = 0;
@@ -416,23 +553,24 @@ StatusOr<std::vector<Group>> Run(const Plan& plan, const Options& options,
     stats->spilled_rows += spilled_rows;
     stats->merge_entries += merge_entries;
     stats->partitions += plan.num_partitions;
-    stats->groups += results.size();
+    stats->groups += total_groups;
     stats->record_bytes = sizeof(Record);
     stats->hashed = !direct && capacity != 0;
   }
-  return results;
+  return Status::Ok();
 }
 
 }  // namespace
 
-StatusOr<std::vector<Group>> Execute(const Input& in, const Options& options,
-                                     ParallelExecutor& ex,
-                                     const CancelContext* cancel,
-                                     Stats* stats) {
+Status Execute(const Input& in, const Options& options, ParallelExecutor& ex,
+               const CancelContext* cancel, Stats* stats, GroupSink& sink) {
   ICP_CHECK(in.group_codes.present());
   ICP_CHECK(in.filter != nullptr);
   ICP_CHECK_GE(options.radix_bits, 0);
-  if (in.num_codes == 0 || in.num_rows == 0) return std::vector<Group>{};
+  if (in.num_codes == 0 || in.num_rows == 0) {
+    sink.Resize(0);
+    return Status::Ok();
+  }
 
   // The pass iterates 64-row segments; reshape the (already validity-
   // intersected) filter and the agg validity once if they arrived in
@@ -450,8 +588,12 @@ StatusOr<std::vector<Group>> Execute(const Input& in, const Options& options,
     validity = &reshaped_validity;
   }
 
+  // The kernel table is resolved once per call; the pass reads it per
+  // segment.
+  const kern::KernelOps& ops = kern::Ops();
   Plan plan;
   plan.in = &in;
+  plan.ops = &ops;
   plan.kind = options.kind;
   plan.fwords = filter->words();
   plan.vwords = validity != nullptr ? validity->words() : nullptr;
@@ -460,10 +602,12 @@ StatusOr<std::vector<Group>> Execute(const Input& in, const Options& options,
   // Bit-parallel liveness: the passing-row and non-NULL-row totals come
   // from the registry popcounts, and an all-dead filter exits before any
   // per-row work.
-  const kern::KernelOps& ops = kern::Ops();
   const std::uint64_t passing =
       ops.popcount_words(plan.fwords, plan.num_segments);
-  if (passing == 0) return std::vector<Group>{};
+  if (passing == 0) {
+    sink.Resize(0);
+    return Status::Ok();
+  }
   if (plan.vwords != nullptr &&
       ops.popcount_and(plan.fwords, plan.vwords, plan.num_segments) ==
           passing) {
@@ -491,18 +635,19 @@ StatusOr<std::vector<Group>> Execute(const Input& in, const Options& options,
       case AggKind::kSum:
       case AggKind::kAvg:
         if (sum_fits) {
-          return Run<NarrowRecord<SumOp>>(plan, options, ex, cancel, stats);
+          return Run<NarrowRecord<SumOp>>(plan, options, ex, cancel, stats,
+                                          sink);
         }
         break;
       case AggKind::kMin:
-        return Run<NarrowRecord<MinOp>>(plan, options, ex, cancel, stats);
+        return Run<NarrowRecord<MinOp>>(plan, options, ex, cancel, stats, sink);
       case AggKind::kMax:
-        return Run<NarrowRecord<MaxOp>>(plan, options, ex, cancel, stats);
+        return Run<NarrowRecord<MaxOp>>(plan, options, ex, cancel, stats, sink);
       default:
         break;
     }
   }
-  return Run<WideRecord>(plan, options, ex, cancel, stats);
+  return Run<WideRecord>(plan, options, ex, cancel, stats, sink);
 }
 
 }  // namespace icp::groupby

@@ -10,7 +10,10 @@
 // parallel region then merges per partition, i.e. per contiguous code
 // range: direct tables are summed slot by slot over the range, hashed
 // tables' entries and the packed spill rows fold into one dense array, and
-// the non-empty groups come out in code order.
+// each partition counts its non-empty groups. A third region hands the
+// groups to the caller's GroupSink in code order, every partition filling
+// its own slice of a result the caller sized once, so no serial copy
+// follows the merge.
 //
 // Group records hold only what the aggregate needs. When no passing agg
 // value is NULL and code-domain sums fit 64 bits, a group is a 16-byte
@@ -23,10 +26,11 @@
 // The operator works in the code domain only (the caller decodes through
 // the column encoder) and leans on the kernel registry where the work is
 // bit-parallel: filter liveness is popcounted through kern::Ops()
-// (popcount_words / popcount_and) and dead 64-row segments are skipped on
-// the segment word, while the scatter into per-group records is scalar
-// per passing row — the part no bit-parallel layout can batch (see
-// docs/groupby.md).
+// (popcount_words / popcount_and), dead 64-row segments are skipped on
+// the segment word, and a live segment's passing rows are read from the
+// VBP planes by vbp_select, group and agg column under the same mask.
+// Only the fold into per-group records is scalar, one step per selected
+// row — the part no bit-parallel layout can batch (see docs/groupby.md).
 //
 // Failure injection: `groupby/spill` fires on the spill-append path and
 // `groupby/merge` once per merged partition; both latch and surface
@@ -37,10 +41,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "bitvector/filter_bit_vector.h"
 #include "core/aggregate.h"
+#include "layout/layout.h"
+#include "layout/vbp_column.h"
 #include "parallel/executor.h"
 #include "util/bits.h"
 #include "util/cancellation.h"
@@ -92,40 +97,45 @@ struct Group {
   UInt128 value = 0;
 };
 
-/// Reads the codes of rows [begin, begin + n) of one column into out[0, n).
-/// The pass reads one 64-row segment at a time into a 64-entry buffer, so
-/// a column packed bit-parallel is decoded a segment at a time (the
-/// paper's Section III reconstruction) and never held as plain codes.
-struct CodeReader {
+/// Where the pass reads one column's codes. A VBP column (lanes == 1) is
+/// read straight from its bit planes: for each live 64-row segment the
+/// vbp_select kernel slot (simd/dispatch.h) writes the passing rows'
+/// codes, so only the rows that pass are rebuilt (the paper's Section III
+/// reconstruction, per segment). Any other column is decoded a segment at
+/// a time through `decode` and compacted to the passing rows. Either way
+/// the column is never held as plain codes.
+struct CodeSource {
+  const VbpColumn* vbp = nullptr;
   const void* column = nullptr;
-  void (*read)(const void* column, std::size_t begin, std::size_t n,
-               std::uint64_t* out) = nullptr;
+  void (*decode)(const void* column, std::size_t begin, std::size_t n,
+                 std::uint64_t* out) = nullptr;
 
-  /// A reader over any column type with a
+  /// A source over any column type with spec(), vbp() and a
   /// DecodeCodes(begin, n, out) const member (Table::Column).
   template <typename Column>
-  static CodeReader Of(const Column& column) {
-    return {&column, [](const void* c, std::size_t begin, std::size_t n,
-                        std::uint64_t* out) {
+  static CodeSource Of(const Column& column) {
+    if (column.spec().layout == Layout::kVbp && column.vbp().lanes() == 1) {
+      return {.vbp = &column.vbp()};
+    }
+    return {.column = &column,
+            .decode = [](const void* c, std::size_t begin, std::size_t n,
+                         std::uint64_t* out) {
               static_cast<const Column*>(c)->DecodeCodes(begin, n, out);
             }};
   }
 
-  bool present() const { return read != nullptr; }
-  void Read(std::size_t begin, std::size_t n, std::uint64_t* out) const {
-    read(column, begin, n, out);
-  }
+  bool present() const { return vbp != nullptr || decode != nullptr; }
 };
 
 /// Inputs in the code domain. The columns and bit vectors are borrowed;
 /// they must stay valid for the duration of Execute.
 struct Input {
   /// The group column's codes.
-  CodeReader group_codes;
+  CodeSource group_codes;
   /// Dictionary size; every group code is < num_codes.
   std::uint64_t num_codes = 0;
   /// The agg column's codes; unset for COUNT (codes unused).
-  CodeReader agg_codes;
+  CodeSource agg_codes;
   /// Bit width of the agg codes (0 when agg_codes is unset); decides
   /// whether a spilled row packs into one 64-bit word or two.
   int agg_bits = 0;
@@ -139,16 +149,29 @@ struct Input {
   std::size_t num_rows = 0;
 };
 
-/// Runs the single-pass operator on `ex` and returns the non-empty groups
-/// in ascending code order. Scratch (local tables, plus the merge's dense
-/// arrays when the tables are hashed) is metered through
+/// Receives the groups of one Execute call. Execute calls Resize once,
+/// with the number of non-empty groups, and then Fill from the executor's
+/// slots, once or more per radix partition: groups[0, n) are consecutive
+/// groups of the ascending code order and belong at positions
+/// [first, first + n) of it. Concurrent Fill calls cover disjoint
+/// positions. When Execute fails, what the sink holds is unspecified.
+class GroupSink {
+ public:
+  virtual ~GroupSink() = default;
+  virtual void Resize(std::size_t groups) = 0;
+  virtual void Fill(std::size_t first, const Group* groups,
+                    std::size_t n) = 0;
+};
+
+/// Runs the single-pass operator on `ex` and hands the non-empty groups,
+/// in ascending code order, to `sink`. Scratch (local tables, plus the
+/// merge's dense arrays when the tables are hashed) is metered through
 /// ex.AccountScratch; kResourceExhausted when the budget is exhausted,
-/// kCancelled / kDeadlineExceeded when `cancel` fires (both regions drain
-/// cleanly first), Internal when an armed groupby/{spill,merge} failpoint
-/// fires.
-StatusOr<std::vector<Group>> Execute(
-    const Input& in, const Options& options, ParallelExecutor& ex,
-    const CancelContext* cancel, Stats* stats);
+/// kCancelled / kDeadlineExceeded when `cancel` fires (every region
+/// drains cleanly first), Internal when an armed groupby/{spill,merge}
+/// failpoint fires.
+Status Execute(const Input& in, const Options& options, ParallelExecutor& ex,
+               const CancelContext* cancel, Stats* stats, GroupSink& sink);
 
 }  // namespace icp::groupby
 

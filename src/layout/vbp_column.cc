@@ -99,8 +99,9 @@ VbpColumn VbpColumn::Interleave(int lanes) const {
 void VbpColumn::Decode(std::size_t begin, std::size_t n,
                        std::uint64_t* out) const {
   ICP_DCHECK(begin + n <= num_values_);
-  // Uncounted dispatch: group-by calls this once per 64-row segment, where
-  // a shared per-call counter would cost more than the transpose.
+  // Uncounted dispatch: the naive group-by strategy calls this once per
+  // 64-row segment, where a shared per-call counter would cost more than
+  // the transpose.
   const kern::KernelOps& ops = kern::OpsFor(kern::ActiveTier());
   Word planes[kWordBits];
   std::uint64_t codes[kValuesPerSegment];

@@ -638,6 +638,45 @@ void VbpUnpackScalar(const Word* planes, int k, std::uint64_t* codes) {
   for (int i = 0; i < kWordBits; ++i) codes[i] = a[i];
 }
 
+namespace {
+
+// The scalar select gathers row by row while rows x k stays within this
+// many bits: four operations per bit against the transpose's fixed ~500
+// word operations. BM_VbpSelectTier put the crossover at 220-290 bits
+// (0.5-0.8 ns per gathered bit, ~175 ns per transpose).
+constexpr int kSelectGatherBits = 224;
+
+}  // namespace
+
+std::size_t VbpSelectScalar(const Word* const* planes, int tau, int k,
+                            Word mask, std::uint64_t* out) {
+  if (mask == 0) return 0;
+  Word p[kWordBits];
+  for (int g = 0, j0 = 0; j0 < k; ++g, j0 += tau) {
+    const int width = std::min(tau, k - j0);
+    for (int j = 0; j < width; ++j) p[j0 + j] = planes[g][j];
+  }
+  const int n = std::popcount(mask);
+  if (n * k <= kSelectGatherBits) {
+    // Lowest mask bit first is the last selected row first.
+    int r = n;
+    for (Word m = mask; m != 0; m &= m - 1) {
+      const int bit = std::countr_zero(m);
+      std::uint64_t code = 0;
+      for (int j = 0; j < k; ++j) code = (code << 1) | ((p[j] >> bit) & 1);
+      out[--r] = code;
+    }
+    return static_cast<std::size_t>(n);
+  }
+  std::uint64_t codes[kWordBits];
+  VbpUnpackScalar(p, k, codes);
+  int r = 0;
+  for (Word m = mask; m != 0; m &= m - 1) {
+    out[n - 1 - r++] = codes[kWordBits - 1 - std::countr_zero(m)];
+  }
+  return static_cast<std::size_t>(n);
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 tier. Function-level target("avx2") so the TU compiles without
 // -mavx2; dispatch.cc only hands these out when cpuid reports AVX2.
@@ -1680,9 +1719,103 @@ ICP_AVX512_GFNI void VbpUnpackGfni(const Word* planes, int k,
 
 #undef ICP_AVX512_GFNI
 
+#define ICP_AVX512_SELECT                                              \
+  __attribute__((target(                                               \
+      "avx512f,avx512bw,avx512dq,avx512vl,avx512vbmi,avx512vbmi2,gfni")))
+
+// Planes [lo, lo + w) of a segment, plane lo + t in qword t (the rest
+// zero): one expand load per bit-group the range touches. *g and *g_lo
+// track the group holding plane lo (group *g covers planes [*g_lo, *g_lo +
+// tau)) and only move forward, so callers walk lo upwards.
+ICP_AVX512_SELECT inline __m512i LoadPlaneRange(const Word* const* planes,
+                                                int tau, int lo, int w,
+                                                int* g, int* g_lo) {
+  __m512i in = _mm512_setzero_si512();
+  for (int plane = lo; plane < lo + w;) {
+    while (plane >= *g_lo + tau) {
+      ++*g;
+      *g_lo += tau;
+    }
+    const int last = std::min(lo + w, *g_lo + tau);
+    const unsigned lanes =
+        ((1u << (last - lo)) - 1) & ~((1u << (plane - lo)) - 1);
+    in = _mm512_mask_expandloadu_epi64(in, static_cast<__mmask8>(lanes),
+                                       planes[*g] + (plane - *g_lo));
+    plane = last;
+  }
+  return in;
+}
+
+// The unpack's byte slices (byte i of slice b = byte b of code i), each
+// compacted to the selected rows before the scatter assembles the codes,
+// so only ceil(n / 8) output vectors are built and stored. Sparse masks
+// take this body too: it costs about as much for one row as for 64
+// (BM_VbpSelectTier, k = 4-20: 11-29 ns per segment at 1-6 rows, 17-31 ns
+// at 64).
+ICP_AVX512_SELECT std::size_t VbpSelectGfni(const Word* const* planes,
+                                            int tau, int k, Word mask,
+                                            std::uint64_t* out) {
+  const int n = std::popcount(mask);
+  if (n == 0) return 0;
+  // Byte i of a slice is row i, the plane bit 63 - i: bit i of `rows` is
+  // mask bit 63 - i (vgf2p8affineqb reverses each byte's bits, the byte
+  // swap their order).
+  const __mmask64 rows = __builtin_bswap64(static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm_gf2p8affine_epi64_epi8(
+          _mm_cvtsi64_si128(static_cast<long long>(mask)),
+          _mm_set1_epi64x(kGfBitColumns), 0))));
+  const int vectors = (n + 7) / 8;
+  // Every loop over acc runs all eight steps so the registers stay
+  // registers; the steps past `vectors` are skipped, not looped out.
+  __m512i acc[8];
+#pragma GCC unroll 8
+  for (int q = 0; q < 8; ++q) acc[q] = _mm512_setzero_si512();
+  const __m512i columns = _mm512_set1_epi64(kGfBitColumnsReversed);
+  int g = 0;
+  int g_lo = 0;
+  for (int b = (k - 1) / 8; b >= 0; --b) {
+    const int w = std::min(8, k - 8 * b);
+    const __m512i in =
+        LoadPlaneRange(planes, tau, k - 8 * b - w, w, &g, &g_lo);
+    // The zero-masking form with every byte kept: GCC 12's unmasked
+    // vpermb intrinsic trips -Wmaybe-uninitialized in its own header.
+    const __m512i bits = _mm512_maskz_permutexvar_epi8(
+        ~__mmask64{0},
+        _mm512_load_si512(
+            static_cast<const void*>(kTransposeTables.unpack_in[w - 1])),
+        in);
+    const __m512i slice = _mm512_maskz_compress_epi8(
+        rows, _mm512_gf2p8affine_epi64_epi8(columns, bits, 0));
+    const __mmask64 byte_b = 0x0101010101010101ull << b;
+#pragma GCC unroll 8
+    for (int q = 0; q < 8; ++q) {
+      if (q >= vectors) break;
+      acc[q] = _mm512_mask_permutexvar_epi8(
+          acc[q], byte_b,
+          _mm512_load_si512(
+              static_cast<const void*>(kTransposeTables.scatter[q])),
+          slice);
+    }
+  }
+#pragma GCC unroll 8
+  for (int q = 0; q < 8; ++q) {
+    if (q >= vectors) break;
+    StoreU512(out + 8 * q, acc[q]);
+  }
+  return static_cast<std::size_t>(n);
+}
+
+#undef ICP_AVX512_SELECT
+
 bool HostHasGfniVbmi() {
   static const bool has = __builtin_cpu_supports("gfni") &&
                           __builtin_cpu_supports("avx512vbmi");
+  return has;
+}
+
+bool HostHasSelectIsa() {
+  static const bool has =
+      HostHasGfniVbmi() && __builtin_cpu_supports("avx512vbmi2");
   return has;
 }
 
@@ -1703,6 +1836,12 @@ void VbpUnpackAvx512(const Word* planes, int k, std::uint64_t* codes) {
   } else {
     VbpUnpackScalar(planes, k, codes);
   }
+}
+
+std::size_t VbpSelectAvx512(const Word* const* planes, int tau, int k,
+                            Word mask, std::uint64_t* out) {
+  if (HostHasSelectIsa()) return VbpSelectGfni(planes, tau, k, mask, out);
+  return VbpSelectScalar(planes, tau, k, mask, out);
 }
 
 #undef ICP_AVX512

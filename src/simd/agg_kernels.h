@@ -97,6 +97,13 @@ void VbpPackScalar(const std::uint64_t* codes, std::size_t n, int k,
                    Word* planes);
 void VbpUnpackScalar(const Word* planes, int k, std::uint64_t* codes);
 
+// VBP segment select (vbp_select). Masks with few rows for their width
+// (rows x k <= kSelectGatherBits) gather each row's k bits; the rest run
+// the unpack transpose and keep the selected rows. The sse and avx2 tiers
+// share it.
+std::size_t VbpSelectScalar(const Word* const* planes, int tau, int k,
+                            Word mask, std::uint64_t* out);
+
 #if defined(ICP_POSPOPCNT_HAVE_AVX2)
 // AVX2 variants (function-level target("avx2"); linked everywhere, selected
 // via cpuid). Lane counts other than 1 and 4 fall back to the scalar body.
@@ -166,6 +173,13 @@ void HbpScanAvx512(const Word* const* bases, int num_groups, int s, int op,
 void VbpPackAvx512(const std::uint64_t* codes, std::size_t n, int k,
                    Word* planes);
 void VbpUnpackAvx512(const Word* planes, int k, std::uint64_t* codes);
+// Select: the same byte-slice transpose as the unpack, compacting each
+// byte slice to the selected rows (vpcompressb) before the codes are
+// assembled, one vpermb per byte slice per 8 selected rows. Needs
+// AVX512_VBMI2 on top of the transpose's GFNI and AVX512_VBMI; a host
+// without them runs the scalar select.
+std::size_t VbpSelectAvx512(const Word* const* planes, int tau, int k,
+                            Word mask, std::uint64_t* out);
 #endif
 
 }  // namespace icp::kern

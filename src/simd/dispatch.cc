@@ -27,6 +27,7 @@ const KernelOps kScalarOps = {
     .hbp_scan = HbpScanKernel,
     .vbp_pack = VbpPackScalar,
     .vbp_unpack = VbpUnpackScalar,
+    .vbp_select = VbpSelectScalar,
 };
 
 // The CSA trick only pays off on popcount-dominated loops; the compare/
@@ -46,6 +47,7 @@ const KernelOps kSse64Ops = {
     .hbp_scan = HbpScanKernel,
     .vbp_pack = VbpPackScalar,
     .vbp_unpack = VbpUnpackScalar,
+    .vbp_select = VbpSelectScalar,
 };
 
 #if defined(ICP_POSPOPCNT_HAVE_AVX2)
@@ -83,6 +85,7 @@ const KernelOps kAvx2Ops = {
     // No 256-bit segment transpose has been written; the scalar one runs.
     .vbp_pack = VbpPackScalar,
     .vbp_unpack = VbpUnpackScalar,
+    .vbp_select = VbpSelectScalar,
 };
 #endif
 
@@ -104,6 +107,7 @@ const KernelOps kAvx512Ops = {
     .hbp_scan = HbpScanAvx512,
     .vbp_pack = VbpPackAvx512,
     .vbp_unpack = VbpUnpackAvx512,
+    .vbp_select = VbpSelectAvx512,
 };
 #endif
 

@@ -231,6 +231,18 @@ struct KernelOps {
   // VBP segment unpack, the inverse transpose: writes all 64 codes of a
   // segment from its k plane words (laid out as vbp_pack writes them).
   void (*vbp_unpack)(const Word* planes, int k, std::uint64_t* codes);
+
+  // VBP segment select: the codes of the rows set in `mask`, read straight
+  // from the packing. Plane j of the segment (0 = most significant, laid
+  // out as vbp_pack writes it) is planes[j / tau][j % tau], so `planes`
+  // holds one pointer per bit-group of a VbpColumn (lanes == 1), each at
+  // the segment's first word of that group. Row i is bit 63 - i of every
+  // plane and of `mask`. Writes the selected rows' codes in row order to
+  // out[0, n), n = popcount(mask), and returns n. `out` has room for 64
+  // codes; out[n, 64) may be overwritten (vector tiers store whole
+  // registers), nothing past it is. k in [1, 63], tau in [1, k].
+  std::size_t (*vbp_select)(const Word* const* planes, int tau, int k,
+                            Word mask, std::uint64_t* out);
 };
 
 // Ops table for an explicit tier (clamped to MaxSupportedTier()).

@@ -21,9 +21,10 @@
 //   MIN/MAX reach the extreme folds and MEDIAN/RANK the counting step.
 //     // exercises: vbp_extreme_fold, hbp_extreme_fold, masked_popcount
 // and a second test packs the tables under every tier (the VBP segment
-// transpose) and decodes their codes back (its inverse, as group-by and
-// serialization do).
-//     // exercises: vbp_pack, vbp_unpack
+// transpose), decodes their codes back (its inverse, as serialization
+// does) and groups by a VBP dictionary column (group-by reads the rows
+// that pass straight from the planes).
+//     // exercises: vbp_pack, vbp_unpack, vbp_select
 
 #include <cstdint>
 #include <cstdlib>
@@ -102,6 +103,11 @@ RandomTable MakeRandomTable(std::uint64_t seed) {
                 .ok());
   ICP_CHECK(out.table.AddColumn("v_vbp", v, {.layout = Layout::kVbp}).ok());
   ICP_CHECK(out.table.AddColumn("v_hbp", v, {.layout = Layout::kHbp}).ok());
+  // The same values as a dictionary column to group by.
+  ICP_CHECK(out.table
+                .AddColumn("g_vbp", v,
+                           {.layout = Layout::kVbp, .dictionary = true})
+                .ok());
   return out;
 }
 
@@ -310,6 +316,25 @@ TEST(DifferentialTest, TablesPackedOnEveryTierAgreeWithOracle) {
             "} tier=" + kern::TierName(tier);
         ASSERT_TRUE(oracle_or.ok() && result.ok()) << context;
         ExpectSameResult(*result, *oracle_or, context);
+
+        // SUM of the query's filter, grouped by the dictionary column; the
+        // oracle groups on the scalar tier.
+        Query grouped;
+        grouped.agg = AggKind::kSum;
+        grouped.agg_column = "v_vbp";
+        grouped.filter = rq.query.filter;
+        kern::ForceTier(kern::Tier::kScalar);
+        auto oracle_groups =
+            engine.ExecuteGroupBy(oracle_table.table, grouped, "g_vbp");
+        kern::ForceTier(tier);
+        auto groups = engine.ExecuteGroupBy(rt.table, grouped, "g_vbp");
+        ASSERT_TRUE(oracle_groups.ok() && groups.ok()) << context;
+        ASSERT_EQ(groups->size(), oracle_groups->size()) << context;
+        for (std::size_t i = 0; i < groups->size(); ++i) {
+          EXPECT_EQ((*groups)[i].first, (*oracle_groups)[i].first) << context;
+          ExpectSameResult((*groups)[i].second, (*oracle_groups)[i].second,
+                           context + " group#" + std::to_string(i));
+        }
       }
       kern::ForceTier(std::nullopt);
     }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
@@ -760,6 +761,82 @@ TEST(DispatchTest, VbpUnpackInvertsArbitraryPlanesOnEveryTier) {
       std::vector<Word> again(k);
       ops.vbp_pack(codes, kWordBits, k, again.data());
       EXPECT_EQ(again, planes) << "tier=" << ops.name << " k=" << k;
+    }
+  }
+}
+
+// The per-bit select the vbp_select slot must match: row i's code is bit
+// 63 - i of every plane, most significant plane first.
+std::vector<std::uint64_t> ReferenceSelect(const std::vector<Word>& planes,
+                                           Word mask) {
+  std::vector<std::uint64_t> codes;
+  for (int i = 0; i < kWordBits; ++i) {
+    if (((mask >> (kWordBits - 1 - i)) & 1) == 0) continue;
+    std::uint64_t v = 0;
+    for (const Word p : planes) v = (v << 1) | ((p >> (kWordBits - 1 - i)) & 1);
+    codes.push_back(v);
+  }
+  return codes;
+}
+
+// A mask with `rows` random rows set.
+Word MaskWithRows(Random& rng, int rows) {
+  Word mask = 0;
+  while (std::popcount(mask) < rows) {
+    mask |= Word{1} << rng.UniformInt(0, kWordBits - 1);
+  }
+  return mask;
+}
+
+TEST(DispatchTest, VbpSelectMatchesPerBitReferenceOnEveryTier) {
+  Random rng(4242);
+  const std::vector<kern::Tier> tiers = CoveredTiers();
+  constexpr std::uint64_t kCanary = 0xC3C3C3C3C3C3C3C3ull;
+  for (int k = 1; k <= 63; ++k) {
+    // Row counts: empty, single, full and one short, both sides of the
+    // 8-row vector boundaries, and both sides of the scalar gather
+    // cut-off (rows x k <= 224) where it falls inside a segment.
+    std::vector<int> row_counts = {0, 1, 2, 7, 8, 9, 16, 17, 63, 64};
+    for (const int cut : {224 / k, 224 / k + 1}) {
+      if (cut <= kWordBits) row_counts.push_back(cut);
+    }
+    for (int i = 0; i < 4; ++i) {
+      row_counts.push_back(static_cast<int>(rng.UniformInt(0, kWordBits)));
+    }
+    for (const int tau : {1, 3, 4, k}) {
+      if (tau > k) continue;
+      // Each bit-group in a buffer of its own, as VbpColumn stores them,
+      // so a read across a group boundary lands outside the group.
+      const std::vector<Word> planes = RandomWords(rng, k);
+      std::vector<std::vector<Word>> groups;
+      std::vector<const Word*> group_ptrs;
+      for (int j0 = 0; j0 < k; j0 += tau) {
+        groups.emplace_back(planes.begin() + j0,
+                            planes.begin() + std::min(k, j0 + tau));
+      }
+      for (const auto& group : groups) group_ptrs.push_back(group.data());
+      for (const int rows : row_counts) {
+        const Word mask = MaskWithRows(rng, rows);
+        const std::vector<std::uint64_t> want = ReferenceSelect(planes, mask);
+        for (const kern::Tier tier : tiers) {
+          const kern::KernelOps& ops = kern::OpsFor(tier);
+          const std::string context =
+              std::string("tier=") + ops.name + " k=" + std::to_string(k) +
+              " tau=" + std::to_string(tau) + " rows=" +
+              std::to_string(rows);
+          // Canaries after the 64-code output catch over-long stores.
+          std::vector<std::uint64_t> out(kWordBits + 8, kCanary);
+          const std::size_t n =
+              ops.vbp_select(group_ptrs.data(), tau, k, mask, out.data());
+          ASSERT_EQ(n, want.size()) << context;
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(out[i], want[i]) << context << " row#" << i;
+          }
+          for (std::size_t i = kWordBits; i < out.size(); ++i) {
+            ASSERT_EQ(out[i], kCanary) << context << " past the end: " << i;
+          }
+        }
+      }
     }
   }
 }

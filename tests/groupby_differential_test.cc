@@ -11,6 +11,7 @@
 // layout, tier, strategy and thread count; re-running with
 // ICP_DIFF_SEED=<seed> replays exactly that table and query set.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -507,6 +508,106 @@ TEST(GroupByDifferentialTest, SpillPathMatchesDefaultBudget) {
       ExpectMatchesOracle(*result_or, oracle, rq.agg, agg_column_min,
                           context.str());
     }
+  }
+}
+
+// The ways the single-pass operator reads a segment's passing rows:
+// filter selectivities on each side of the scalar vbp_select cut-off
+// (rows x k <= 224 bits) and of the avx512 body's 8-row output vectors, a
+// row count that is not a multiple of 64, nullable agg columns under sparse
+// masks, and HBP group and agg columns, which decode a segment and
+// compact it instead. Every covered tier at 1 and 4 threads; groups come
+// back in ascending group order.
+TEST(GroupByDifferentialTest, SelectPathsMatchScalarOracle) {
+  const std::uint64_t seed = BaseSeed() + 5000;
+  Random rng(seed);
+  const std::size_t num_rows =
+      64 * (40 + rng.UniformInt(0, 40)) + 1 + rng.UniformInt(0, 62);
+  ASSERT_NE(num_rows % 64, 0u);
+  constexpr std::int64_t kFilterDomain = 1000;
+  std::vector<std::int64_t> groups(num_rows);
+  std::vector<std::int64_t> values(num_rows);
+  std::vector<std::int64_t> z(num_rows);
+  std::vector<bool> valid(num_rows);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    groups[i] = 3 * static_cast<std::int64_t>(rng.UniformInt(0, 511)) - 700;
+    values[i] = static_cast<std::int64_t>(rng.UniformInt(0, (1 << 18) - 1));
+    z[i] = static_cast<std::int64_t>(rng.UniformInt(0, kFilterDomain - 1));
+    valid[i] = !rng.Bernoulli(0.1);
+  }
+  Table table;
+  for (const Layout layout : {Layout::kVbp, Layout::kHbp}) {
+    const std::string suffix = layout == Layout::kVbp ? "_vbp" : "_hbp";
+    ICP_CHECK(table
+                  .AddColumn("g" + suffix, groups,
+                             {.layout = layout, .dictionary = true})
+                  .ok());
+    ICP_CHECK(table.AddColumn("v" + suffix, values, {.layout = layout}).ok());
+    ICP_CHECK(table
+                  .AddNullableColumn("n" + suffix, values, valid,
+                                     {.layout = layout})
+                  .ok());
+  }
+  ICP_CHECK(table.AddColumn("z", z, {.layout = Layout::kVbp}).ok());
+
+  static const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum,
+                                  AggKind::kAvg, AggKind::kMin,
+                                  AggKind::kMax};
+  // Mean rows per 64-row segment: 1.9, 8, 10.9, 38.4, 64.
+  const double kSelectivities[] = {0.03, 0.125, 0.17, 0.6, 1.0};
+  for (const kern::Tier tier : CoveredTiers()) {
+    kern::ForceTier(tier);
+    for (const int threads : {1, 4}) {
+      ExecOptions options;
+      options.threads = threads;
+      options.groupby_threshold = 1;
+      Engine engine(options);
+      for (const char* group_column : {"g_vbp", "g_hbp"}) {
+        for (const char* agg_column : {"v_vbp", "v_hbp", "n_vbp", "n_hbp"}) {
+          const bool nullable = agg_column[0] == 'n';
+          std::int64_t agg_min = std::numeric_limits<std::int64_t>::max();
+          for (std::size_t i = 0; i < num_rows; ++i) {
+            if (!nullable || valid[i]) agg_min = std::min(agg_min, values[i]);
+          }
+          for (const double s : kSelectivities) {
+            const auto c = static_cast<std::int64_t>(s * kFilterDomain);
+            std::map<std::int64_t, OracleGroup> want;
+            for (std::size_t i = 0; i < num_rows; ++i) {
+              if (z[i] >= c) continue;
+              OracleGroup& g = want[groups[i]];
+              g.rows += 1;
+              if (nullable && !valid[i]) continue;
+              g.count += 1;
+              g.sum += values[i];
+              g.min = std::min(g.min, values[i]);
+              g.max = std::max(g.max, values[i]);
+            }
+            for (const AggKind agg : kAggs) {
+              Query q;
+              q.agg = agg;
+              q.agg_column = agg_column;
+              q.filter = FilterExpr::Compare("z", CompareOp::kLt, c);
+              auto got = engine.ExecuteGroupBy(table, q, group_column);
+              std::ostringstream context;
+              context << "seed=" << seed << " rows=" << num_rows
+                      << " group=" << group_column << " agg=" << agg_column
+                      << "/" << static_cast<int>(agg) << " selectivity=" << s
+                      << " tier=" << kern::TierName(tier)
+                      << " threads=" << threads
+                      << " (replay with ICP_DIFF_SEED=" << BaseSeed() << ")";
+              ASSERT_TRUE(got.ok())
+                  << context.str() << ": " << got.status().ToString();
+              for (std::size_t i = 1; i < got->size(); ++i) {
+                ASSERT_LT((*got)[i - 1].first, (*got)[i].first)
+                    << context.str() << " group#" << i;
+              }
+              ExpectMatchesOracle(*got, want, agg, agg_min, context.str());
+            }
+          }
+        }
+      }
+    }
+    kern::ForceTier(std::nullopt);
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -179,6 +180,32 @@ TEST(GroupBySpillTest, LocalTableModeFollowsBudget) {
   }
 }
 
+// -- Stage accounting ------------------------------------------------------
+
+// Building the result of a 2^16-group statement is counted in the
+// aggregate stage, so the stages cover nearly all of its cycles.
+TEST(GroupByStageTest, StagesCoverA64KGroupStatement) {
+  constexpr std::uint64_t kCodes = std::uint64_t{1} << 16;
+  const Fixture f = MakeFixture(4 * kCodes, kCodes);
+  obs::QueryStats stats;
+  ExecOptions opts;
+  opts.threads = 4;
+  opts.stats = &stats;
+  Engine engine(opts);
+  // Best of a few runs: a statement the host deschedules between two
+  // stages reads as unattributed time the code does not spend.
+  double covered = 0;
+  for (int run = 0; run < 5 && covered < 0.95; ++run) {
+    auto result = engine.ExecuteGroupBy(f.table, SumQuery(), "g");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GT(result->size(), kCodes / 2);
+    ASSERT_GT(stats.total_cycles, 0u);
+    covered = std::max(covered, static_cast<double>(stats.StageCyclesSum()) /
+                                    static_cast<double>(stats.total_cycles));
+  }
+  EXPECT_GE(covered, 0.95);
+}
+
 // -- Cancellation / deadline drains ----------------------------------------
 
 TEST(GroupByCancelTest, PreCancelledTokenDrainsCleanly) {
@@ -195,9 +222,9 @@ TEST(GroupByCancelTest, PreCancelledTokenDrainsCleanly) {
   const auto& agg = **f.table.GetColumn("v");
 
   groupby::Input in;
-  in.group_codes = groupby::CodeReader::Of(group);
+  in.group_codes = groupby::CodeSource::Of(group);
   in.num_codes = group.encoder().num_codes();
-  in.agg_codes = groupby::CodeReader::Of(agg);
+  in.agg_codes = groupby::CodeSource::Of(agg);
   in.agg_bits = agg.bit_width();
   in.filter = &filter;
   in.num_rows = f.num_rows;
@@ -206,10 +233,15 @@ TEST(GroupByCancelTest, PreCancelledTokenDrainsCleanly) {
   token.RequestCancel();
   const CancelContext cancel(token, std::nullopt);
   groupby::Stats stats;
-  auto result = groupby::Execute(in, groupby::Options{.kind = AggKind::kSum},
-                                 ex, &cancel, &stats);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  // Drops the groups: only the drained status matters here.
+  struct DiscardSink final : groupby::GroupSink {
+    void Resize(std::size_t) override {}
+    void Fill(std::size_t, const groupby::Group*, std::size_t) override {}
+  } sink;
+  const Status status = groupby::Execute(
+      in, groupby::Options{.kind = AggKind::kSum}, ex, &cancel, &stats, sink);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
 }
 
 TEST(GroupByCancelTest, ShortDeadlinesNeverCorruptTheEngine) {

@@ -33,14 +33,14 @@ TEST(StageTimerTest, MeasuresForwardProgress) {
   obs::StageTimer timer;
   // Burn enough work that even a coarse clock ticks.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   const std::uint64_t first = timer.Restart();
   EXPECT_GT(first, 0u);
   // Restart re-bases: an immediate read is much smaller than the burn.
   EXPECT_LT(timer.ElapsedCycles(), first);
   const std::uint64_t measured = obs::StageTimer::Measure([] {
     volatile std::uint64_t s = 0;
-    for (int i = 0; i < 100000; ++i) s += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 100000; ++i) s = s + static_cast<std::uint64_t>(i);
   });
   EXPECT_GT(measured, 0u);
 }
@@ -151,7 +151,7 @@ TEST(ObsTraceTest, WritesLoadableChromeTrace) {
   {
     volatile std::uint64_t sink = 0;
     ICP_OBS_TRACE_SPAN("obs_test.work", 0);
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   }
   obs::DisableTracing();
   ASSERT_EQ(obs::TraceSpanCount(), 1u);
